@@ -11,6 +11,10 @@
  * CPU steal inflates individual samples one-sidedly, and the seed
  * baselines below were measured with the same min-of-batches method.
  *
+ * Every cold cell also records the per-pass split from
+ * CompileStats (critical path, lower, fuse, schedule, verifyIr), each
+ * pass's fastest sample, so a change in a cell is pinned to a pass.
+ *
  * A replan proxy times the exact compile the Communicator's
  * replanProgram() pays after a link failure (verify on, the plan
  * cache in front) cold and warm — the before/after-caching
@@ -104,6 +108,38 @@ minBatchMs(int batches, int reps, Fn &&body)
     return best / reps;
 }
 
+/** Per-pass milliseconds of cold compiles: each pass's fastest. */
+struct PassMs
+{
+    double criticalPath = std::numeric_limits<double>::infinity();
+    double lower = criticalPath;
+    double fuse = criticalPath;
+    double schedule = criticalPath;
+    double verify = criticalPath;
+
+    void
+    fold(const CompileStats &stats)
+    {
+        criticalPath = std::min(criticalPath, stats.criticalPathNs * 1e-6);
+        lower = std::min(lower, stats.lowerNs * 1e-6);
+        fuse = std::min(fuse, stats.fuseNs * 1e-6);
+        schedule = std::min(schedule, stats.scheduleNs * 1e-6);
+        verify = std::min(verify, stats.verifyNs * 1e-6);
+    }
+
+    std::string
+    json() const
+    {
+        char buf[256];
+        std::snprintf(buf, sizeof buf,
+                      "{\"critical_path\": %.4f, \"lower\": %.4f, "
+                      "\"fuse\": %.4f, \"schedule\": %.4f, "
+                      "\"verify_ir\": %.4f}",
+                      criticalPath, lower, fuse, schedule, verify);
+        return buf;
+    }
+};
+
 struct Cell
 {
     const char *collective;
@@ -112,6 +148,7 @@ struct Cell
     double coldMs;
     double warmMs;
     double seedColdMs;
+    PassMs passes;
 };
 
 /**
@@ -161,11 +198,13 @@ main(int argc, char **argv)
                 // Cold: the full pipeline, no cache in the path.
                 // Tracing is included — a user (or the replanner)
                 // always pays it together with the compile.
+                PassMs passes;
                 double cold = minBatchMs(3, reps, [&] {
                     auto prog = makeBenchProgram(c, ranks);
                     Compiled out = compileProgram(*prog, copts);
                     if (out.ir.numRanks != ranks)
                         std::abort();
+                    passes.fold(out.stats);
                 });
 
                 // Warm: a primed cache answers the same request —
@@ -186,7 +225,7 @@ main(int argc, char **argv)
 
                 cells.push_back(Cell{ names[c], ranks, copts.verify,
                                       cold, warm,
-                                      kSeedColdMs[c][s][v] });
+                                      kSeedColdMs[c][s][v], passes });
             }
         }
     }
@@ -204,6 +243,18 @@ main(int argc, char **argv)
                     cell.seedColdMs / cell.coldMs,
                     cell.seedColdMs / cell.warmMs);
     }
+    std::printf("# per-pass ms of the cold compiles (fastest sample "
+                "per pass)\n");
+    std::printf("%-16s %5s %-7s %9s %9s %9s %9s %9s\n", "collective",
+                "ranks", "verify", "crit_path", "lower", "fuse",
+                "schedule", "verify_ir");
+    for (const Cell &cell : cells) {
+        std::printf("%-16s %5d %-7s %9.4f %9.4f %9.4f %9.4f %9.4f\n",
+                    cell.collective, cell.ranks,
+                    cell.verify ? "on" : "off", cell.passes.criticalPath,
+                    cell.passes.lower, cell.passes.fuse,
+                    cell.passes.schedule, cell.passes.verify);
+    }
 
     std::vector<Cell> big_cells;
     if (big_ranks) {
@@ -211,16 +262,20 @@ main(int argc, char **argv)
                                      "hierarchical_allreduce" };
         std::printf("# --big-ranks — verify-on compiles at scale "
                     "(single samples)\n");
-        std::printf("%-22s %5s %10s %10s\n", "collective", "ranks",
-                    "cold_ms", "warm_ms");
+        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s\n",
+                    "collective", "ranks", "cold_ms", "warm_ms",
+                    "crit_path", "lower", "fuse", "schedule",
+                    "verify_ir");
         for (int c = 0; c < 2; c++) {
             for (int ranks : kBigRankSteps) {
                 CompileOptions copts; // verify defaults on
+                PassMs passes;
                 double cold = minBatchMs(1, 1, [&] {
                     auto prog = makeBigProgram(c, ranks);
                     Compiled out = compileProgram(*prog, copts);
                     if (out.ir.numRanks != ranks)
                         std::abort();
+                    passes.fold(out.stats);
                 });
                 PlanCache cache(4);
                 auto warm_prog = makeBigProgram(c, ranks);
@@ -233,9 +288,11 @@ main(int argc, char **argv)
                 if (cache.hits() == 0)
                     std::abort();
                 big_cells.push_back(Cell{ big_names[c], ranks, true,
-                                          cold, warm, 0.0 });
-                std::printf("%-22s %5d %10.1f %10.4f\n", big_names[c],
-                            ranks, cold, warm);
+                                          cold, warm, 0.0, passes });
+                std::printf("%-22s %5d %10.1f %10.4f %9.1f %9.1f %9.1f "
+                            "%9.1f %9.1f\n", big_names[c], ranks, cold,
+                            warm, passes.criticalPath, passes.lower,
+                            passes.fuse, passes.schedule, passes.verify);
             }
         }
     }
@@ -278,12 +335,12 @@ main(int argc, char **argv)
                 "\"verify\": %s, \"cold_ms\": %.4f, "
                 "\"warm_ms\": %.4f, \"seed_cold_ms\": %.4f, "
                 "\"speedup_vs_seed\": %.2f, "
-                "\"warm_speedup_vs_seed\": %.1f}%s\n",
+                "\"warm_speedup_vs_seed\": %.1f, \"pass_ms\": %s}%s\n",
                 cell.collective, cell.ranks,
                 cell.verify ? "true" : "false", cell.coldMs,
                 cell.warmMs, cell.seedColdMs,
                 cell.seedColdMs / cell.coldMs,
-                cell.seedColdMs / cell.warmMs,
+                cell.seedColdMs / cell.warmMs, cell.passes.json().c_str(),
                 i + 1 < cells.size() ? "," : "");
         }
         std::fprintf(f, "  ],\n  \"big_cells\": [\n");
@@ -292,8 +349,9 @@ main(int argc, char **argv)
             std::fprintf(f,
                 "    {\"collective\": \"%s\", \"ranks\": %d, "
                 "\"verify\": true, \"cold_ms\": %.4f, "
-                "\"warm_ms\": %.4f}%s\n",
+                "\"warm_ms\": %.4f, \"pass_ms\": %s}%s\n",
                 cell.collective, cell.ranks, cell.coldMs, cell.warmMs,
+                cell.passes.json().c_str(),
                 i + 1 < big_cells.size() ? "," : "");
         }
         std::fprintf(f,

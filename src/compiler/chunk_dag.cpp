@@ -143,6 +143,61 @@ ChunkDag::ChunkDag(const Program &program)
     }
 }
 
+int
+chunkCriticalPath(const Program &program)
+{
+    // Depths of the last writer and of the deepest reader since that
+    // write, per location (-1: none), stored densely like the DAG's
+    // access history: state[rank * 3 + buffer][chunkIndex].
+    struct LocationState
+    {
+        int writer = -1;
+        int reader = -1;
+    };
+    bool in_place = program.collective().inPlace();
+    std::vector<std::vector<LocationState>> state(
+        3 * static_cast<size_t>(program.numRanks()));
+    auto buffer_of = [&](const BufferSlice &slice) {
+        BufferKind buffer = slice.buffer;
+        if (in_place && buffer == BufferKind::Output)
+            buffer = BufferKind::Input;
+        std::vector<LocationState> &buf =
+            state[static_cast<size_t>(slice.rank) * 3 +
+                  static_cast<size_t>(buffer)];
+        if (slice.index + slice.count > static_cast<int>(buf.size()))
+            buf.resize(slice.index + slice.count);
+        return &buf;
+    };
+
+    int critical = 0;
+    for (const TraceOp &op : program.ops()) {
+        // Resize both buffers before taking element pointers: src and
+        // dst may name the same buffer.
+        std::vector<LocationState> *src_buf = buffer_of(op.src);
+        std::vector<LocationState> *dst_buf = buffer_of(op.dst);
+        LocationState *src = src_buf->data() + op.src.index;
+        LocationState *dst = dst_buf->data() + op.dst.index;
+
+        // The op's depth comes from the state before its own accesses
+        // (the DAG has no self-edges). Reads follow the last writer;
+        // the destination write also follows the readers since it. A
+        // reduce's read of its destination is covered by that.
+        int depth = 0;
+        for (int i = 0; i < op.src.count; i++)
+            depth = std::max(depth, src[i].writer + 1);
+        for (int i = 0; i < op.dst.count; i++) {
+            depth = std::max(
+                depth, std::max(dst[i].writer, dst[i].reader) + 1);
+        }
+        for (int i = 0; i < op.src.count; i++)
+            src[i].reader = std::max(src[i].reader, depth);
+        for (int i = 0; i < op.dst.count; i++)
+            dst[i] = LocationState{ depth, -1 };
+        critical = std::max(critical, depth + 1);
+    }
+    return critical;
+}
+
 std::string
 ChunkDag::toDot(const Program &program) const
 {

@@ -67,6 +67,17 @@ class ChunkDag
     int criticalPath_ = 0;
 };
 
+/**
+ * Length of the Chunk DAG's critical path in operations, in one pass
+ * over the trace without building the DAG. Per canonical location it
+ * keeps the depth of the last writer and of the deepest reader since
+ * that write: every edge the DAG has beyond those is implied by a
+ * chain through them (writers are totally ordered by output edges,
+ * and a write orders after every earlier reader), so the result
+ * equals ChunkDag(program).criticalPathLength().
+ */
+int chunkCriticalPath(const Program &program);
+
 } // namespace mscclang
 
 #endif // MSCCLANG_COMPILER_CHUNK_DAG_H_

@@ -8,6 +8,8 @@
 #ifndef MSCCLANG_COMPILER_COMPILER_H_
 #define MSCCLANG_COMPILER_COMPILER_H_
 
+#include <cstdint>
+
 #include "compiler/instr_graph.h"
 #include "compiler/schedule.h"
 #include "dsl/program.h"
@@ -50,6 +52,19 @@ struct CompileStats
     int channels = 0;
     int maxThreadBlocks = 0;
     int totalInstructions = 0;
+
+    /**
+     * Wall-clock nanoseconds per pass (steady_clock): the Chunk DAG
+     * critical path, lowering, fusion, scheduling and verifyIr (0 when
+     * verification is off). Diagnostics only — host-dependent, so
+     * they are never part of a plan-cache key or of an equality or
+     * golden check, and a plan-cache disk hit reports them as 0.
+     */
+    std::int64_t criticalPathNs = 0;
+    std::int64_t lowerNs = 0;
+    std::int64_t fuseNs = 0;
+    std::int64_t scheduleNs = 0;
+    std::int64_t verifyNs = 0;
 };
 
 /** Compilation result. */

@@ -31,9 +31,15 @@ InstrGraph::addNode(InstrNode node)
 {
     node.id = numNodes();
     nodes_.push_back(std::move(node));
-    preds_.emplace_back();
-    succs_.emplace_back();
+    ends_.emplace_back();
     return nodes_.back().id;
+}
+
+void
+InstrGraph::reserve(int nodes)
+{
+    nodes_.reserve(nodes);
+    ends_.reserve(nodes);
 }
 
 void
@@ -42,8 +48,9 @@ InstrGraph::addEdge(int from, int to, DepKind kind)
     if (from == to)
         return;
     // Deduplicate; a True edge subsumes a false one on the same pair.
-    for (int edge_idx : succs_[from]) {
-        InstrEdge &edge = edges_[edge_idx];
+    NodeEnds &from_ends = ends_[from];
+    for (int e = from_ends.firstSucc; e >= 0; e = links_[e].nextSucc) {
+        InstrEdge &edge = edges_[e];
         if (edge.to == to) {
             if (kind == DepKind::True)
                 edge.kind = DepKind::True;
@@ -52,31 +59,25 @@ InstrGraph::addEdge(int from, int to, DepKind kind)
     }
     int idx = static_cast<int>(edges_.size());
     edges_.push_back(InstrEdge{ from, to, kind });
-    succs_[from].push_back(idx);
-    preds_[to].push_back(idx);
-}
-
-int
-InstrGraph::countLivePreds(int id) const
-{
-    int count = 0;
-    for (int edge_idx : preds_[id]) {
-        int from = edges_[edge_idx].from;
-        if (nodes_[from].live && from != id)
-            count++;
-    }
-    return count;
+    links_.emplace_back();
+    if (from_ends.lastSucc >= 0)
+        links_[from_ends.lastSucc].nextSucc = idx;
+    else
+        from_ends.firstSucc = idx;
+    from_ends.lastSucc = idx;
+    NodeEnds &to_ends = ends_[to];
+    if (to_ends.lastPred >= 0)
+        links_[to_ends.lastPred].nextPred = idx;
+    else
+        to_ends.firstPred = idx;
+    to_ends.lastPred = idx;
 }
 
 std::vector<int>
 InstrGraph::livePreds(int id) const
 {
     std::vector<int> out;
-    for (int edge_idx : preds_[id]) {
-        int from = edges_[edge_idx].from;
-        if (nodes_[from].live && from != id)
-            out.push_back(from);
-    }
+    forEachLivePred(id, [&](int from) { out.push_back(from); });
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
@@ -86,11 +87,7 @@ std::vector<int>
 InstrGraph::liveSuccs(int id) const
 {
     std::vector<int> out;
-    for (int edge_idx : succs_[id]) {
-        int to = edges_[edge_idx].to;
-        if (nodes_[to].live && to != id)
-            out.push_back(to);
-    }
+    forEachLiveSucc(id, [&](int to) { out.push_back(to); });
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
@@ -99,15 +96,17 @@ InstrGraph::liveSuccs(int id) const
 void
 InstrGraph::replaceNode(int from, int to)
 {
-    // Move every edge endpoint of `from` onto `to`.
-    for (int edge_idx : preds_[from]) {
-        InstrEdge &edge = edges_[edge_idx];
+    // Move every edge endpoint of `from` onto `to`. addEdge only
+    // appends to other nodes' lists, so walking from's lists by index
+    // stays valid while edges_ grows.
+    for (int e = ends_[from].firstPred; e >= 0; e = links_[e].nextPred) {
+        InstrEdge edge = edges_[e];
         if (edge.from == to)
             continue; // becomes a self-edge: drop by leaving it dead
         addEdge(edge.from, to, edge.kind);
     }
-    for (int edge_idx : succs_[from]) {
-        InstrEdge &edge = edges_[edge_idx];
+    for (int e = ends_[from].firstSucc; e >= 0; e = links_[e].nextSucc) {
+        InstrEdge edge = edges_[e];
         if (edge.to == to)
             continue;
         addEdge(to, edge.to, edge.kind);
@@ -129,53 +128,76 @@ InstrGraph::numLive() const
 void
 InstrGraph::computeDepths()
 {
-    // Kahn's algorithm over live nodes with processing + comm edges.
-    // depth/rdepth are max-folds, so edge visitation order does not
-    // affect the result and the unsorted forEachLive* walks suffice.
-    int n = numNodes();
-    std::vector<int> indeg(n, 0);
-    auto for_each_succ = [&](int id, auto &&fn) {
-        forEachLiveSucc(id, fn);
-        const InstrNode &node = nodes_[id];
-        if (node.commSucc >= 0 && nodes_[node.commSucc].live)
-            fn(node.commSucc);
-    };
-
-    for (int id = 0; id < n; id++) {
-        if (!nodes_[id].live)
-            continue;
-        indeg[id] = countLivePreds(id);
-        const InstrNode &node = nodes_[id];
-        if (node.commPred >= 0 && nodes_[node.commPred].live)
-            indeg[id]++;
-        nodes_[id].depth = 0;
-        nodes_[id].rdepth = 0;
+    LiveGraph live(*this);
+    std::vector<int> depth;
+    std::vector<int> rdepth;
+    live.computeDepths(depth, rdepth);
+    for (int v = 0; v < live.size(); v++) {
+        InstrNode &node = nodes_[live.nodeId(v)];
+        node.depth = depth[v];
+        node.rdepth = rdepth[v];
     }
+}
 
+LiveGraph::LiveGraph(const InstrGraph &graph)
+{
+    int n = graph.numNodes();
+    index_.assign(n, -1);
+    for (int id = 0; id < n; id++) {
+        if (graph.node(id).live) {
+            index_[id] = static_cast<int>(ids_.size());
+            ids_.push_back(id);
+        }
+    }
+    offsets_.reserve(ids_.size() + 1);
+    offsets_.push_back(0);
+    succs_.reserve(graph.edges().size() + ids_.size());
+    for (int id : ids_) {
+        graph.forEachLiveSucc(
+            id, [&](int succ) { succs_.push_back(index_[succ]); });
+        int comm = graph.node(id).commSucc;
+        if (comm >= 0 && index_[comm] >= 0)
+            succs_.push_back(index_[comm]);
+        offsets_.push_back(static_cast<int>(succs_.size()));
+    }
+    indeg_.assign(ids_.size(), 0);
+    for (int succ : succs_)
+        indeg_[succ]++;
+}
+
+void
+LiveGraph::computeDepths(std::vector<int> &depth,
+                         std::vector<int> &rdepth) const
+{
+    // Kahn's algorithm; depth/rdepth are max-folds, so the order in
+    // which edges are visited does not affect the result.
+    int n = size();
+    std::vector<int> remaining(indeg_);
     std::vector<int> topo;
     topo.reserve(n);
-    for (int id = 0; id < n; id++) {
-        if (nodes_[id].live && indeg[id] == 0)
-            topo.push_back(id);
+    for (int v = 0; v < n; v++) {
+        if (remaining[v] == 0)
+            topo.push_back(v);
     }
+    depth.assign(n, 0);
     // The ready "queue" is the unprocessed tail of topo itself.
     for (size_t head = 0; head < topo.size(); head++) {
-        int id = topo[head];
-        for_each_succ(id, [&](int succ) {
-            nodes_[succ].depth =
-                std::max(nodes_[succ].depth, nodes_[id].depth + 1);
-            if (--indeg[succ] == 0)
+        int v = topo[head];
+        for (int succ : succs(v)) {
+            depth[succ] = std::max(depth[succ], depth[v] + 1);
+            if (--remaining[succ] == 0)
                 topo.push_back(succ);
-        });
+        }
     }
-    if (static_cast<int>(topo.size()) != numLive())
+    if (static_cast<int>(topo.size()) != n)
         throw CompileError("instruction DAG contains a cycle");
 
+    rdepth.assign(n, 0);
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        for_each_succ(*it, [&](int succ) {
-            nodes_[*it].rdepth =
-                std::max(nodes_[*it].rdepth, nodes_[succ].rdepth + 1);
-        });
+        int longest = 0;
+        for (int succ : succs(*it))
+            longest = std::max(longest, rdepth[succ] + 1);
+        rdepth[*it] = longest;
     }
 }
 

@@ -12,6 +12,7 @@
 #ifndef MSCCLANG_COMPILER_INSTR_GRAPH_H_
 #define MSCCLANG_COMPILER_INSTR_GRAPH_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,10 @@ struct InstrNode
 };
 
 /**
- * The Instruction DAG plus side tables the passes need. Edges are
- * stored per node as predecessor/successor index lists into edges().
+ * The Instruction DAG plus side tables the passes need. Each node's
+ * predecessor and successor edges form singly linked lists threaded
+ * through per-edge links in insertion order, so adding a node or an
+ * edge never allocates per node.
  */
 class InstrGraph
 {
@@ -91,20 +94,37 @@ class InstrGraph
     /** Appends a node, returning its id. */
     int addNode(InstrNode node);
 
+    /** Reserves room for @p nodes nodes in total. */
+    void reserve(int nodes);
+
     /** Adds a processing edge (deduplicated; True subsumes false). */
     void addEdge(int from, int to, DepKind kind);
 
     const std::vector<InstrEdge> &edges() const { return edges_; }
-    /** Edge indexes entering / leaving a node. */
-    const std::vector<int> &predEdges(int id) const { return preds_[id]; }
-    const std::vector<int> &succEdges(int id) const { return succs_[id]; }
+
+    /**
+     * Visits the edge records entering / leaving node @p id in
+     * insertion order, including those to dead nodes.
+     */
+    template <typename Fn>
+    void
+    forEachPredEdge(int id, Fn &&fn) const
+    {
+        for (int e = ends_[id].firstPred; e >= 0; e = links_[e].nextPred)
+            fn(edges_[e]);
+    }
+
+    template <typename Fn>
+    void
+    forEachSuccEdge(int id, Fn &&fn) const
+    {
+        for (int e = ends_[id].firstSucc; e >= 0; e = links_[e].nextSucc)
+            fn(edges_[e]);
+    }
 
     /** Live predecessor/successor node ids through live edges. */
     std::vector<int> livePreds(int id) const;
     std::vector<int> liveSuccs(int id) const;
-
-    /** Number of live predecessors, without allocating. */
-    int countLivePreds(int id) const;
 
     /**
      * Visits every live predecessor/successor node id exactly once,
@@ -118,22 +138,20 @@ class InstrGraph
     void
     forEachLivePred(int id, Fn &&fn) const
     {
-        for (int edge_idx : preds_[id]) {
-            int from = edges_[edge_idx].from;
-            if (nodes_[from].live && from != id)
-                fn(from);
-        }
+        forEachPredEdge(id, [&](const InstrEdge &edge) {
+            if (nodes_[edge.from].live && edge.from != id)
+                fn(edge.from);
+        });
     }
 
     template <typename Fn>
     void
     forEachLiveSucc(int id, Fn &&fn) const
     {
-        for (int edge_idx : succs_[id]) {
-            int to = edges_[edge_idx].to;
-            if (nodes_[to].live && to != id)
-                fn(to);
-        }
+        forEachSuccEdge(id, [&](const InstrEdge &edge) {
+            if (nodes_[edge.to].live && edge.to != id)
+                fn(edge.to);
+        });
     }
 
     /**
@@ -148,18 +166,79 @@ class InstrGraph
     /**
      * Computes depth (longest path from a root) and rdepth (longest
      * path to a leaf) over live nodes, following processing and
-     * communication edges.
+     * communication edges. Runs over a LiveGraph snapshot.
+     * @throws CompileError if the live graph has a cycle.
      */
     void computeDepths();
 
     std::string dump() const;
 
   private:
+    /** Per edge: the next edge leaving its source / entering its
+     *  target (-1 ends the list). */
+    struct EdgeLinks
+    {
+        int nextSucc = -1;
+        int nextPred = -1;
+    };
+    /** Per node: the ends of its successor and predecessor lists. */
+    struct NodeEnds
+    {
+        int firstSucc = -1;
+        int lastSucc = -1;
+        int firstPred = -1;
+        int lastPred = -1;
+    };
+
     int numRanks_;
     std::vector<InstrNode> nodes_;
     std::vector<InstrEdge> edges_;
-    std::vector<std::vector<int>> preds_;
-    std::vector<std::vector<int>> succs_;
+    std::vector<EdgeLinks> links_;
+    std::vector<NodeEnds> ends_;
+};
+
+/**
+ * A compact read-only snapshot of the live Instruction DAG for the
+ * passes that only walk it (depths, the scheduler's sweeps, cross
+ * thread block dependencies). Live nodes are renumbered 0..size()-1
+ * in ascending id order, so id tie-breaks carry over unchanged. The
+ * successors of each node — processing edges plus its communication
+ * edge — sit in one CSR array, next to the indegrees. Building it
+ * walks the edge records once; later sweeps touch only flat ints.
+ */
+class LiveGraph
+{
+  public:
+    explicit LiveGraph(const InstrGraph &graph);
+
+    int size() const { return static_cast<int>(ids_.size()); }
+    /** Node id of compact index @p v. */
+    int nodeId(int v) const { return ids_[v]; }
+    /** Compact index of node @p id, or -1 if it is dead. */
+    int indexOf(int id) const { return index_[id]; }
+    /** Compact successors of @p v (each live neighbor once, in edge
+     *  insertion order, then the communication successor). */
+    std::span<const int>
+    succs(int v) const
+    {
+        return { succs_.data() + offsets_[v],
+                 succs_.data() + offsets_[v + 1] };
+    }
+    int indegree(int v) const { return indeg_[v]; }
+
+    /**
+     * Longest path from a root (@p depth) and to a leaf (@p rdepth)
+     * per compact index. @throws CompileError on a cycle.
+     */
+    void computeDepths(std::vector<int> &depth,
+                       std::vector<int> &rdepth) const;
+
+  private:
+    std::vector<int> ids_;
+    std::vector<int> index_;
+    std::vector<int> offsets_;
+    std::vector<int> succs_;
+    std::vector<int> indeg_;
 };
 
 /**

@@ -61,22 +61,26 @@ class LoweringContext
     }
 
   private:
-    /** Removes @p cut from every interval in @p set. */
-    static void
-    subtractRange(std::vector<FracInterval> &set, const FracInterval &cut)
+    /**
+     * Removes @p cut from every interval of uncovered_, building the
+     * result in spare_ and swapping, so no access allocates once the
+     * two buffers have grown to the largest fragment count seen.
+     */
+    void
+    subtractRange(const FracInterval &cut)
     {
-        std::vector<FracInterval> next;
-        for (const FracInterval &part : set) {
+        spare_.clear();
+        for (const FracInterval &part : uncovered_) {
             if (!part.overlaps(cut)) {
-                next.push_back(part);
+                spare_.push_back(part);
                 continue;
             }
             if (part.lo < cut.lo)
-                next.push_back(FracInterval{ part.lo, cut.lo });
+                spare_.push_back(FracInterval{ part.lo, cut.lo });
             if (cut.hi < part.hi)
-                next.push_back(FracInterval{ cut.hi, part.hi });
+                spare_.push_back(FracInterval{ cut.hi, part.hi });
         }
-        set = std::move(next);
+        uncovered_.swap(spare_);
     }
 
     /**
@@ -96,14 +100,14 @@ class LoweringContext
         for (int k = 0; k < slice.count; k++) {
             std::vector<RangeAccess> &accesses =
                 historyOf(slice.rank, slice.buffer, slice.index + k);
-            std::vector<FracInterval> uncovered{ range };
+            uncovered_.assign(1, range);
             for (auto it = accesses.rbegin();
-                 it != accesses.rend() && !uncovered.empty(); ++it) {
+                 it != accesses.rend() && !uncovered_.empty(); ++it) {
                 const RangeAccess &prev = *it;
                 if (prev.node == id)
                     continue;
                 bool overlaps = false;
-                for (const FracInterval &part : uncovered) {
+                for (const FracInterval &part : uncovered_) {
                     if (prev.range.overlaps(part)) {
                         overlaps = true;
                         break;
@@ -113,16 +117,21 @@ class LoweringContext
                     continue;
                 if (is_write && prev.isWrite) {
                     graph_.addEdge(prev.node, id, DepKind::Output);
-                    subtractRange(uncovered, prev.range);
+                    subtractRange(prev.range);
                 } else if (is_write) {
                     // Reader of the visible version: order after it,
                     // but it does not shadow older accesses.
                     graph_.addEdge(prev.node, id, DepKind::Anti);
                 } else if (prev.isWrite) {
                     graph_.addEdge(prev.node, id, DepKind::True);
-                    subtractRange(uncovered, prev.range);
+                    subtractRange(prev.range);
                 }
             }
+            // A write of the whole chunk shadows everything before it:
+            // every later access is by a later node and its newest-
+            // first scan stops here, so the older history is dead.
+            if (is_write && split_count == 1)
+                accesses.clear();
             accesses.push_back(RangeAccess{ id, is_write, range });
         }
     }
@@ -147,6 +156,10 @@ class LoweringContext
     InstrGraph &graph_;
     bool inPlace_;
     std::vector<std::vector<std::vector<RangeAccess>>> history_;
+    /** Still-visible part of the current access, and the spare
+     *  buffer subtractRange() builds the next version in. */
+    std::vector<FracInterval> uncovered_;
+    std::vector<FracInterval> spare_;
 };
 
 } // namespace
@@ -157,6 +170,15 @@ lowerProgram(const Program &program)
     InstrGraph graph(program.numRanks());
     LoweringContext ctx(graph, program.collective().inPlace());
     int instances = program.options().instances;
+
+    // Every op lowers to one local instruction or a send/receive
+    // pair per instance; size the graph once.
+    long total_nodes = 0;
+    for (const TraceOp &op : program.ops()) {
+        bool local = op.src.rank == op.dst.rank;
+        total_nodes += long(op.parFactor) * instances * (local ? 1 : 2);
+    }
+    graph.reserve(static_cast<int>(total_nodes));
 
     for (const TraceOp &op : program.ops()) {
         BufferSlice src = ctx.canonical(op.src);

@@ -5,7 +5,6 @@
 #include <limits>
 #include <queue>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -15,9 +14,9 @@ namespace mscclang {
 namespace {
 
 /**
- * Packed integer keys for the scheduler's hash maps: ranks get
- * 21 bits, channels up to 22. Node ids are never packed — graph size
- * is bounded only by memory, which thousand-rank compiles need.
+ * Packed (channel, peer) connection key: ranks get 21 bits, channels
+ * the rest. Node ids are never packed — graph size is bounded only by
+ * memory, which thousand-rank compiles need.
  */
 constexpr int kFieldBits = 21;
 
@@ -28,13 +27,53 @@ ownerKey(int channel, Rank peer)
     return (std::uint64_t(channel) << kFieldBits) | std::uint64_t(peer);
 }
 
-/** (src, dst, channel*2 + role) FIFO gate key. */
-std::uint64_t
-gateKey(Rank src, Rank dst, std::uint64_t chan_role)
+/**
+ * A small map (channel, peer) -> int for one rank, as a vector sorted
+ * by ownerKey: connection ownership (peer -> thread block index) and
+ * fused pairings (peer -> the paired peer). A rank has at most two
+ * entries per thread block, so a binary search over a few entries
+ * replaces a hash lookup.
+ */
+class ConnTable
 {
-    return (std::uint64_t(src) << 43) | (std::uint64_t(dst) << 22) |
-        chan_role;
-}
+  public:
+    /** The value of (channel, peer), or nullptr if absent. */
+    const int *
+    find(int channel, Rank peer) const
+    {
+        std::uint64_t key = ownerKey(channel, peer);
+        auto it = lowerBound(key);
+        return it != entries_.end() && it->first == key ? &it->second
+                                                        : nullptr;
+    }
+
+    /** Sets the value of (channel, peer), inserting it if absent. */
+    void
+    set(int channel, Rank peer, int value)
+    {
+        std::uint64_t key = ownerKey(channel, peer);
+        auto it = entries_.begin() + (lowerBound(key) - entries_.cbegin());
+        if (it != entries_.end() && it->first == key)
+            it->second = value;
+        else
+            entries_.insert(it, { key, value });
+    }
+
+    void clear() { entries_.clear(); }
+
+  private:
+    std::vector<std::pair<std::uint64_t, int>>::const_iterator
+    lowerBound(std::uint64_t key) const
+    {
+        return std::lower_bound(
+            entries_.begin(), entries_.end(), key,
+            [](const auto &entry, std::uint64_t k) {
+                return entry.first < k;
+            });
+    }
+
+    std::vector<std::pair<std::uint64_t, int>> entries_;
+};
 
 /**
  * Union-find over communication edges. An edge is identified by the
@@ -80,16 +119,21 @@ class ChainFinder
 class PairingRegistry
 {
   public:
+    explicit PairingRegistry(int num_ranks)
+        : bySend_(num_ranks), byRecv_(num_ranks)
+    {
+    }
+
     /** Tests whether pairing (sendPeer, recvPeer) fits at (rank, ch). */
     bool
     compatible(Rank rank, int channel, Rank send_peer,
                Rank recv_peer) const
     {
-        auto send_it = bySend_.find(key(rank, channel, send_peer));
-        if (send_it != bySend_.end() && send_it->second != recv_peer)
+        const int *recv = bySend_[rank].find(channel, send_peer);
+        if (recv != nullptr && *recv != recv_peer)
             return false;
-        auto recv_it = byRecv_.find(key(rank, channel, recv_peer));
-        if (recv_it != byRecv_.end() && recv_it->second != send_peer)
+        const int *send = byRecv_[rank].find(channel, recv_peer);
+        if (send != nullptr && *send != send_peer)
             return false;
         return true;
     }
@@ -97,20 +141,13 @@ class PairingRegistry
     void
     insert(Rank rank, int channel, Rank send_peer, Rank recv_peer)
     {
-        bySend_[key(rank, channel, send_peer)] = recv_peer;
-        byRecv_[key(rank, channel, recv_peer)] = send_peer;
+        bySend_[rank].set(channel, send_peer, recv_peer);
+        byRecv_[rank].set(channel, recv_peer, send_peer);
     }
 
   private:
-    static std::uint64_t
-    key(Rank rank, int channel, Rank peer)
-    {
-        return (std::uint64_t(channel) << 42) |
-            (std::uint64_t(rank) << kFieldBits) | std::uint64_t(peer);
-    }
-
-    std::unordered_map<std::uint64_t, Rank> bySend_;
-    std::unordered_map<std::uint64_t, Rank> byRecv_;
+    std::vector<ConnTable> bySend_;
+    std::vector<ConnTable> byRecv_;
 };
 
 /** All per-chain facts needed to pick its channel. */
@@ -120,8 +157,7 @@ struct Chain
     int directive = -1;
     int splitIdx = 0;
     int splitCount = 1;
-    std::vector<int> opIds; // deduplicated, unordered
-    int minNode = 0;
+    std::vector<int> opIds; // deduplicated, ascending
 };
 
 /** Key of a thread block before ids are assigned. */
@@ -157,29 +193,25 @@ assignChannels(InstrGraph &graph)
             chains.unite(id, node.commSucc);
     }
 
+    // Chains in order of their smallest receiving node: the scan
+    // below visits ids ascending, so that is creation order.
     std::vector<Chain> chain_store;
-    std::unordered_map<int, int> by_root; // root -> chain_store index
-    auto add_op = [](std::vector<int> &ops, int op) {
-        if (std::find(ops.begin(), ops.end(), op) == ops.end())
-            ops.push_back(op);
-    };
+    std::vector<int> by_root(n, -1); // root -> chain_store index
     for (int id = 0; id < n; id++) {
         const InstrNode &node = graph.node(id);
         if (!node.live || node.commPred < 0)
             continue; // not a receiving edge endpoint
-        auto [it, fresh] =
-            by_root.try_emplace(chains.find(id),
-                                static_cast<int>(chain_store.size()));
-        if (fresh)
+        int &slot = by_root[chains.find(id)];
+        if (slot < 0) {
+            slot = static_cast<int>(chain_store.size());
             chain_store.emplace_back();
-        Chain &chain = chain_store[it->second];
+        }
+        Chain &chain = chain_store[slot];
         if (chain.recvNodes.empty()) {
             chain.splitIdx = node.splitIdx;
             chain.splitCount = node.splitCount;
-            chain.minNode = id;
         }
         chain.recvNodes.push_back(id);
-        chain.minNode = std::min(chain.minNode, id);
         if (node.splitIdx != chain.splitIdx ||
             node.splitCount != chain.splitCount) {
             throw CompileError(
@@ -197,20 +229,19 @@ assignChannels(InstrGraph &graph)
             }
             chain.directive = directive;
         }
-        add_op(chain.opIds, node.opId);
-        add_op(chain.opIds, sender.opId);
+        chain.opIds.push_back(node.opId);
+        chain.opIds.push_back(sender.opId);
+    }
+    // Only membership in opIds matters, so deduplicate once per chain
+    // (a ring's chain spans every rank: a per-insert scan is
+    // quadratic in its length).
+    for (Chain &chain : chain_store) {
+        std::vector<int> &ops = chain.opIds;
+        std::sort(ops.begin(), ops.end());
+        ops.erase(std::unique(ops.begin(), ops.end()), ops.end());
     }
 
-    std::vector<Chain *> ordered;
-    ordered.reserve(chain_store.size());
-    for (Chain &chain : chain_store)
-        ordered.push_back(&chain);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Chain *a, const Chain *b) {
-                  return a->minNode < b->minNode;
-              });
-
-    PairingRegistry pairings;
+    PairingRegistry pairings(graph.numRanks());
     // Channels already used by some instance of an op: sibling
     // instances of a parallelized op must not share a channel.
     // Indexed densely by opId + 1 (opId -1 maps to slot 0).
@@ -252,24 +283,24 @@ assignChannels(InstrGraph &graph)
         }
     };
 
-    for (Chain *chain : ordered) {
-        if (chain->directive >= 0) {
+    for (Chain &chain : chain_store) {
+        if (chain.directive >= 0) {
             int channel =
-                chain->directive * chain->splitCount + chain->splitIdx;
-            if (conflicts(*chain, channel)) {
+                chain.directive * chain.splitCount + chain.splitIdx;
+            if (conflicts(chain, channel)) {
                 throw CompileError(strprintf(
                     "channel directive %d (instance %d/%d -> channel %d) "
                     "conflicts with another fused chain",
-                    chain->directive, chain->splitIdx, chain->splitCount,
+                    chain.directive, chain.splitIdx, chain.splitCount,
                     channel));
             }
-            commit(*chain, channel);
+            commit(chain, channel);
             continue;
         }
         for (int base = 0;; base++) {
-            int channel = base * chain->splitCount + chain->splitIdx;
-            if (!conflicts(*chain, channel)) {
-                commit(*chain, channel);
+            int channel = base * chain.splitCount + chain.splitIdx;
+            if (!conflicts(chain, channel)) {
+                commit(chain, channel);
                 break;
             }
             if (base > graph.numNodes()) {
@@ -284,7 +315,7 @@ struct TbState
 {
     TbKey key;
     int id = -1;
-    std::vector<int> steps;   // node ids in order
+    std::vector<int> steps;   // compact node indexes in order
     long lastAssigned = -1;   // global schedule sequence
 };
 
@@ -292,9 +323,9 @@ struct TbState
 struct RankTbs
 {
     std::vector<TbState> tbs;
-    /** Connection ownership: ownerKey(channel, peer) -> tb index. */
-    std::unordered_map<std::uint64_t, int> sendOwner;
-    std::unordered_map<std::uint64_t, int> recvOwner;
+    /** Connection ownership: (channel, peer) -> tb index. */
+    ConnTable sendOwner;
+    ConnTable recvOwner;
 };
 
 std::vector<RankTbs>
@@ -338,14 +369,14 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
             TbState tb;
             tb.key = TbKey{ channel, send_peer, recv_peer };
             int idx = static_cast<int>(ranks[r].tbs.size());
-            if (ranks[r].sendOwner.count(ownerKey(channel, send_peer)) ||
-                ranks[r].recvOwner.count(ownerKey(channel, recv_peer))) {
+            if (ranks[r].sendOwner.find(channel, send_peer) != nullptr ||
+                ranks[r].recvOwner.find(channel, recv_peer) != nullptr) {
                 throw CompileError(strprintf(
                     "rank %d channel %d: connection claimed by two "
                     "thread blocks", r, channel));
             }
-            ranks[r].sendOwner[ownerKey(channel, send_peer)] = idx;
-            ranks[r].recvOwner[ownerKey(channel, recv_peer)] = idx;
+            ranks[r].sendOwner.set(channel, send_peer, idx);
+            ranks[r].recvOwner.set(channel, recv_peer, idx);
             ranks[r].tbs.push_back(std::move(tb));
         }
     }
@@ -362,22 +393,19 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
     for (const InstrNode &node : graph.nodes()) {
         if (!node.live)
             continue;
+        RankTbs &rank = ranks[node.rank];
         if (node.sends() &&
-            !ranks[node.rank].sendOwner.count(
-                ownerKey(node.channel, node.sendPeer))) {
+            rank.sendOwner.find(node.channel, node.sendPeer) == nullptr) {
             loose_sends[node.rank].push_back(
                 { node.channel, node.sendPeer });
-            ranks[node.rank].sendOwner[ownerKey(node.channel,
-                                                node.sendPeer)] =
-                -1; // placeholder to dedupe
+            // placeholder to dedupe
+            rank.sendOwner.set(node.channel, node.sendPeer, -1);
         }
         if (node.receives() &&
-            !ranks[node.rank].recvOwner.count(
-                ownerKey(node.channel, node.recvPeer))) {
+            rank.recvOwner.find(node.channel, node.recvPeer) == nullptr) {
             loose_recvs[node.rank].push_back(
                 { node.channel, node.recvPeer });
-            ranks[node.rank].recvOwner[ownerKey(node.channel,
-                                                node.recvPeer)] = -1;
+            rank.recvOwner.set(node.channel, node.recvPeer, -1);
         }
     }
     for (int r = 0; r < graph.numRanks(); r++) {
@@ -419,19 +447,19 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
                 TbState tb;
                 tb.key = TbKey{ channel, send_peer, recv_peer };
                 int idx = static_cast<int>(ranks[r].tbs.size());
-                ranks[r].sendOwner[ownerKey(channel, send_peer)] = idx;
+                ranks[r].sendOwner.set(channel, send_peer, idx);
                 if (recv_peer >= 0)
-                    ranks[r].recvOwner[ownerKey(channel, recv_peer)] = idx;
+                    ranks[r].recvOwner.set(channel, recv_peer, idx);
                 ranks[r].tbs.push_back(std::move(tb));
             }
         }
         for (const auto &[channel, recv_peer] : recvs) {
-            if (ranks[r].recvOwner[ownerKey(channel, recv_peer)] != -1)
+            if (*ranks[r].recvOwner.find(channel, recv_peer) != -1)
                 continue; // already paired above
             TbState tb;
             tb.key = TbKey{ channel, -1, recv_peer };
             int idx = static_cast<int>(ranks[r].tbs.size());
-            ranks[r].recvOwner[ownerKey(channel, recv_peer)] = idx;
+            ranks[r].recvOwner.set(channel, recv_peer, idx);
             ranks[r].tbs.push_back(std::move(tb));
         }
         // A rank with only local work still needs one thread block.
@@ -450,14 +478,12 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
         for (size_t i = 0; i < ranks[r].tbs.size(); i++) {
             TbState &tb = ranks[r].tbs[i];
             tb.id = static_cast<int>(i);
-            if (tb.key.sendPeer >= 0) {
-                ranks[r].sendOwner[ownerKey(tb.key.channel,
-                                            tb.key.sendPeer)] = tb.id;
-            }
-            if (tb.key.recvPeer >= 0) {
-                ranks[r].recvOwner[ownerKey(tb.key.channel,
-                                            tb.key.recvPeer)] = tb.id;
-            }
+            if (tb.key.sendPeer >= 0)
+                ranks[r].sendOwner.set(tb.key.channel, tb.key.sendPeer,
+                                       tb.id);
+            if (tb.key.recvPeer >= 0)
+                ranks[r].recvOwner.set(tb.key.channel, tb.key.recvPeer,
+                                       tb.id);
         }
     }
     return ranks;
@@ -465,66 +491,49 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
 
 /**
  * FIFO gate and slot-accounting plan for the second scheduling sweep,
- * all in dense ids. Each connection (src, dst, channel) has two
- * ordered gate lists — one for its send-side instructions and one for
- * its receive-side instructions — plus one plain connection id used
- * to count outstanding sends.
+ * over compact node indexes. Every send connection (src, dst,
+ * channel) is owned by exactly one sending thread block, whose global
+ * index names the connection. Connection c has two ordered gate
+ * lists: gate 2c for its send-side instructions and gate 2c + 1 for
+ * its receive-side instructions.
  */
 struct GatePlan
 {
-    /** Per node: gate its send/recv half must take turns on (-1 none). */
-    std::vector<int> sendGate, recvGate;
-    /** Per node: plain connection id of its send/recv half (-1 none). */
+    /** Per node: connection of its send/recv half (-1 none). */
     std::vector<int> sendConn, recvConn;
-    /** Per gate: required order of node ids. */
+    /** Per gate: required order of compact node indexes. */
     std::vector<std::vector<int>> gateOrder;
     int numConns = 0;
 };
 
 /**
- * One heap-driven topological sweep over the live instruction graph
- * in priority order: lower depth first (instructions enabled
- * earlier), then higher rdepth (more downstream dependencies), then
- * id for determinism (paper §5.2, steps 1 and 3). @p plan, when
- * non-null, holds per-gate required orders; a node with a gate must
- * wait for its turn in that gate's list.
+ * The gated heap-driven topological sweep over the live graph in
+ * priority order (paper §5.2, steps 1 and 3). The priority order is
+ * total and fixed, so the heap holds each node's position in it:
+ * @p by_priority lists the nodes in that order and @p position is its
+ * inverse. A node with a gate must wait for its turn in that gate's
+ * list.
  */
 std::vector<int>
-topoSweep(InstrGraph &graph, const GatePlan *plan, int slots = 0)
+topoSweep(const LiveGraph &live, const std::vector<int> &by_priority,
+          const std::vector<int> &position, const GatePlan &plan,
+          int slots)
 {
-    int n = graph.numNodes();
+    int n = live.size();
+    std::vector<int> remaining(n);
+    for (int v = 0; v < n; v++)
+        remaining[v] = live.indegree(v);
 
-    std::vector<int> remaining(n, 0);
-    for (const InstrNode &node : graph.nodes()) {
-        if (!node.live)
-            continue;
-        remaining[node.id] = graph.countLivePreds(node.id);
-        if (node.commPred >= 0)
-            remaining[node.id]++;
-    }
-
-    // Priority (depth asc, rdepth desc, id asc): depth and inverted
-    // rdepth pack into one comparison word, the id rides alongside so
-    // graphs of any size keep exact tie-break order.
-    using Prio = std::pair<std::uint64_t, int>;
-    auto prio = [&](int id) {
-        const InstrNode &node = graph.node(id);
-        return Prio{ (std::uint64_t(node.depth) << 32) |
-                         (0xFFFFFFFFull - std::uint64_t(node.rdepth)),
-                     id };
-    };
-    std::priority_queue<Prio, std::vector<Prio>, std::greater<Prio>>
-        heap;
-    for (const InstrNode &node : graph.nodes()) {
-        if (node.live && remaining[node.id] == 0)
-            heap.push(prio(node.id));
+    std::priority_queue<int, std::vector<int>, std::greater<int>> heap;
+    for (int v = 0; v < n; v++) {
+        if (remaining[v] == 0)
+            heap.push(position[v]);
     }
 
     // Per-gate progress; a node out of turn parks on the gate that
     // blocked it (it can wait on at most one at a time) and is woken
     // when that gate reaches it.
-    int num_gates = plan ? static_cast<int>(plan->gateOrder.size()) : 0;
-    std::vector<size_t> gate_pos(num_gates, 0);
+    std::vector<size_t> gate_pos(plan.gateOrder.size(), 0);
     std::vector<int> parked_gate(n, -1);
 
     // Slot accounting (paper §6.1: the compiler must not emit
@@ -533,18 +542,18 @@ topoSweep(InstrGraph &graph, const GatePlan *plan, int slots = 0)
     // than `slots` of its connection's sends are unreceived at this
     // point of the order, so the runtime can always follow the
     // schedule without wedging on FIFO backpressure.
-    int num_conns = plan ? plan->numConns : 0;
-    std::vector<int> outstanding(num_conns, 0);
-    std::vector<std::vector<int>> slot_blocked(num_conns);
+    std::vector<int> outstanding(plan.numConns, 0);
+    std::vector<std::vector<int>> slot_blocked(plan.numConns);
 
     std::vector<int> order;
-    order.reserve(graph.numLive());
+    order.reserve(n);
     while (!heap.empty()) {
-        int id = heap.top().second;
+        int v = by_priority[heap.top()];
         heap.pop();
-        const InstrNode &node = graph.node(id);
-        int gates[2] = { plan ? plan->sendGate[id] : -1,
-                         plan ? plan->recvGate[id] : -1 };
+        int send_conn = plan.sendConn[v];
+        int recv_conn = plan.recvConn[v];
+        int gates[2] = { send_conn >= 0 ? 2 * send_conn : -1,
+                         recv_conn >= 0 ? 2 * recv_conn + 1 : -1 };
 
         // FIFO gate: the node must be next in line on each of its
         // connections (send side checked first).
@@ -553,9 +562,9 @@ topoSweep(InstrGraph &graph, const GatePlan *plan, int slots = 0)
             if (g < 0)
                 continue;
             size_t pos = gate_pos[g];
-            const std::vector<int> &seq = plan->gateOrder[g];
-            if (pos < seq.size() && seq[pos] != id) {
-                parked_gate[id] = g;
+            const std::vector<int> &seq = plan.gateOrder[g];
+            if (pos < seq.size() && seq[pos] != v) {
+                parked_gate[v] = g;
                 gated = true;
                 break;
             }
@@ -564,145 +573,189 @@ topoSweep(InstrGraph &graph, const GatePlan *plan, int slots = 0)
             continue;
 
         // Slot gate: sending with all FIFO slots full would wedge.
-        if (slots > 0 && node.sends()) {
-            int conn = plan ? plan->sendConn[id] : -1;
-            if (conn >= 0 && outstanding[conn] >= slots) {
-                slot_blocked[conn].push_back(id);
+        if (send_conn >= 0) {
+            if (outstanding[send_conn] >= slots) {
+                slot_blocked[send_conn].push_back(v);
                 continue;
             }
+            outstanding[send_conn]++;
+        }
+        if (recv_conn >= 0) {
+            outstanding[recv_conn]--;
+            // Wake every blocked sender; the heap re-ranks them.
+            for (int waiter : slot_blocked[recv_conn])
+                heap.push(position[waiter]);
+            slot_blocked[recv_conn].clear();
         }
 
-        if (slots > 0 && plan) {
-            if (node.sends() && plan->sendConn[id] >= 0)
-                outstanding[plan->sendConn[id]]++;
-            if (node.receives() && plan->recvConn[id] >= 0) {
-                int conn = plan->recvConn[id];
-                outstanding[conn]--;
-                // Wake every blocked sender; the heap re-ranks them.
-                for (int waiter : slot_blocked[conn])
-                    heap.push(prio(waiter));
-                slot_blocked[conn].clear();
-            }
-        }
-
-        order.push_back(id);
+        order.push_back(v);
         for (int g : gates) {
             if (g < 0)
                 continue;
             size_t pos = ++gate_pos[g];
-            const std::vector<int> &seq = plan->gateOrder[g];
+            const std::vector<int> &seq = plan.gateOrder[g];
             if (pos < seq.size()) {
                 int next = seq[pos];
                 if (parked_gate[next] == g) {
                     parked_gate[next] = -1;
-                    heap.push(prio(next));
+                    heap.push(position[next]);
                 }
             }
         }
 
-        graph.forEachLiveSucc(id, [&](int succ) {
+        for (int succ : live.succs(v)) {
             if (--remaining[succ] == 0)
-                heap.push(prio(succ));
-        });
-        if (node.commSucc >= 0 && graph.node(node.commSucc).live) {
-            if (--remaining[node.commSucc] == 0)
-                heap.push(prio(node.commSucc));
+                heap.push(position[succ]);
         }
     }
 
-    if (static_cast<int>(order.size()) != graph.numLive()) {
+    if (static_cast<int>(order.size()) != n) {
         throw CompileError(strprintf(
             "scheduler: only %zu of %d instructions could be ordered; "
             "the program needs explicit channel directives to avoid a "
-            "FIFO ordering conflict", order.size(), graph.numLive()));
+            "FIFO ordering conflict", order.size(), n));
     }
     return order;
 }
 
-/** Greedy priority topological assignment (paper §5.2, steps 1-4). */
-void
-assignInstructions(InstrGraph &graph, std::vector<RankTbs> &ranks,
-                   int slots)
+/** Where each compact node landed: rank, thread block and step. */
+struct Placement
 {
-    graph.computeDepths();
+    std::vector<int> rank;
+    std::vector<int> tb;
+    std::vector<int> step;
+};
+
+/**
+ * Compact node indexes in scheduling priority order: depth ascending
+ * (instructions enabled earlier), then rdepth descending (more
+ * downstream dependencies), then index ascending for determinism
+ * (paper §5.2, steps 1 and 3). Two stable counting sorts, least
+ * significant key first.
+ */
+std::vector<int>
+priorityOrder(const std::vector<int> &depth, const std::vector<int> &rdepth)
+{
+    int n = static_cast<int>(depth.size());
+    auto stable_by = [n](const std::vector<int> &in, auto &&bucket_of,
+                         int buckets) {
+        std::vector<int> start(buckets + 1, 0);
+        for (int v : in)
+            start[bucket_of(v) + 1]++;
+        for (int b = 0; b < buckets; b++)
+            start[b + 1] += start[b];
+        std::vector<int> out(n);
+        for (int v : in)
+            out[start[bucket_of(v)]++] = v;
+        return out;
+    };
+    int max_depth = 0;
+    int max_rdepth = 0;
+    for (int v = 0; v < n; v++) {
+        max_depth = std::max(max_depth, depth[v]);
+        max_rdepth = std::max(max_rdepth, rdepth[v]);
+    }
+    std::vector<int> order(n);
+    for (int v = 0; v < n; v++)
+        order[v] = v;
+    order = stable_by(
+        order, [&](int v) { return max_rdepth - rdepth[v]; },
+        max_rdepth + 1);
+    return stable_by(
+        order, [&](int v) { return depth[v]; }, max_depth + 1);
+}
+
+/** Greedy priority topological assignment (paper §5.2, steps 1-4). */
+Placement
+assignInstructions(InstrGraph &graph, const LiveGraph &live,
+                   std::vector<RankTbs> &ranks, int slots)
+{
+    int n = live.size();
+    Placement at;
+    at.rank.resize(n);
 
     // Pass 1: unconstrained priority order; it fixes, for every
     // connection, the order in which sends (and therefore their
-    // matched FIFO receives, paper §6.1) will happen.
-    std::vector<int> ideal = topoSweep(graph, nullptr);
+    // matched FIFO receives, paper §6.1) will happen. An ungated
+    // heap sweep pops in nondecreasing depth (a node's predecessors
+    // are all shallower, so each depth is fully ready before its
+    // first node pops), which makes its order the priority order.
+    std::vector<int> by_priority;
+    {
+        std::vector<int> depth;
+        std::vector<int> rdepth;
+        live.computeDepths(depth, rdepth);
+        for (int v = 0; v < n; v++) {
+            InstrNode &node = graph.node(live.nodeId(v));
+            node.depth = depth[v];
+            node.rdepth = rdepth[v];
+            at.rank[v] = node.rank;
+        }
+        by_priority = priorityOrder(depth, rdepth);
+    }
+    std::vector<int> position(n);
+    for (int i = 0; i < n; i++)
+        position[by_priority[i]] = i;
 
-    int n = graph.numNodes();
+    // The owning thread block of every communicating node; a node
+    // that sends lives on its send connection's block.
+    std::vector<int> tb_base(ranks.size() + 1, 0);
+    for (size_t r = 0; r < ranks.size(); r++)
+        tb_base[r + 1] = tb_base[r] + static_cast<int>(ranks[r].tbs.size());
+    at.tb.assign(n, -1);
+    for (int v = 0; v < n; v++) {
+        const InstrNode &node = graph.node(live.nodeId(v));
+        RankTbs &rank = ranks[node.rank];
+        const int *owner = nullptr;
+        if (node.sends()) {
+            owner = rank.sendOwner.find(node.channel, node.sendPeer);
+            if (owner == nullptr)
+                throw CompileError("scheduler: unowned send connection");
+        } else if (node.receives()) {
+            owner = rank.recvOwner.find(node.channel, node.recvPeer);
+            if (owner == nullptr)
+                throw CompileError("scheduler: unowned recv connection");
+        }
+        if (owner != nullptr)
+            at.tb[v] = *owner;
+    }
+
     GatePlan plan;
-    plan.sendGate.assign(n, -1);
-    plan.recvGate.assign(n, -1);
+    plan.numConns = tb_base.back();
     plan.sendConn.assign(n, -1);
     plan.recvConn.assign(n, -1);
-    std::unordered_map<std::uint64_t, int> gate_ids;
-    std::unordered_map<std::uint64_t, int> conn_ids;
-    auto gate_of = [&](std::uint64_t key) {
-        auto [it, fresh] =
-            gate_ids.try_emplace(key,
-                                 static_cast<int>(plan.gateOrder.size()));
-        if (fresh)
-            plan.gateOrder.emplace_back();
-        return it->second;
-    };
-    for (int id : ideal) {
-        const InstrNode &node = graph.node(id);
+    plan.gateOrder.resize(2 * static_cast<size_t>(plan.numConns));
+    for (int v : by_priority) {
+        const InstrNode &node = graph.node(live.nodeId(v));
         if (!node.sends())
             continue;
-        auto [conn_it, fresh] = conn_ids.try_emplace(
-            gateKey(node.rank, node.sendPeer,
-                    std::uint64_t(node.channel)),
-            plan.numConns);
-        if (fresh)
-            plan.numConns++;
-        int conn = conn_it->second;
-        int sg = gate_of(gateKey(node.rank, node.sendPeer,
-                                 std::uint64_t(node.channel) * 2));
-        plan.gateOrder[sg].push_back(id);
-        plan.sendGate[id] = sg;
-        plan.sendConn[id] = conn;
-        const InstrNode &recv = graph.node(node.commSucc);
-        int rg = gate_of(gateKey(recv.recvPeer, recv.rank,
-                                 std::uint64_t(recv.channel) * 2 + 1));
-        plan.gateOrder[rg].push_back(recv.id);
-        plan.recvGate[recv.id] = rg;
-        plan.recvConn[recv.id] = conn;
+        int conn = tb_base[node.rank] + at.tb[v];
+        int recv = live.indexOf(node.commSucc);
+        if (recv < 0)
+            throw CompileError("scheduler: send without a live receive");
+        plan.gateOrder[2 * conn].push_back(v);
+        plan.sendConn[v] = conn;
+        plan.gateOrder[2 * conn + 1].push_back(recv);
+        plan.recvConn[recv] = conn;
     }
 
     // Pass 2: the same priority sweep, now honoring FIFO turns on
     // both ends of every connection so the k-th receive always pairs
     // with the k-th send.
-    std::vector<int> order = topoSweep(graph, &plan, slots);
+    std::vector<int> order =
+        topoSweep(live, by_priority, position, plan, slots);
 
     long sequence = 0;
-    auto tb_of_comm = [&](const InstrNode &node) -> TbState & {
-        RankTbs &rank = ranks[node.rank];
-        if (node.sends()) {
-            auto it = rank.sendOwner.find(
-                ownerKey(node.channel, node.sendPeer));
-            if (it == rank.sendOwner.end())
-                throw CompileError("scheduler: unowned send connection");
-            return rank.tbs[it->second];
-        }
-        auto it =
-            rank.recvOwner.find(ownerKey(node.channel, node.recvPeer));
-        if (it == rank.recvOwner.end())
-            throw CompileError("scheduler: unowned recv connection");
-        return rank.tbs[it->second];
-    };
-
-    for (int id : order) {
-        InstrNode &node = graph.node(id);
+    at.step.assign(n, -1);
+    for (int v : order) {
+        RankTbs &rank = ranks[at.rank[v]];
         TbState *tb = nullptr;
-        if (node.sends() || node.receives()) {
-            tb = &tb_of_comm(node);
+        if (at.tb[v] >= 0) {
+            tb = &rank.tbs[at.tb[v]];
         } else {
             // Local instruction: any thread block on the rank; pick
             // the one whose latest assigned instruction is earliest
             // (paper §5.2, step 4).
-            RankTbs &rank = ranks[node.rank];
             for (TbState &cand : rank.tbs) {
                 if (tb == nullptr || cand.lastAssigned < tb->lastAssigned)
                     tb = &cand;
@@ -710,41 +763,85 @@ assignInstructions(InstrGraph &graph, std::vector<RankTbs> &ranks,
             if (tb == nullptr)
                 throw CompileError("scheduler: rank has no thread block");
         }
-        node.tb = tb->id;
-        node.step = static_cast<int>(tb->steps.size());
-        tb->steps.push_back(id);
+        at.tb[v] = tb->id;
+        at.step[v] = static_cast<int>(tb->steps.size());
+        InstrNode &node = graph.node(live.nodeId(v));
+        node.tb = at.tb[v];
+        node.step = at.step[v];
+        tb->steps.push_back(v);
         tb->lastAssigned = sequence++;
     }
+    return at;
 }
 
-/** Cross thread block dependency insertion (paper §5.2). */
-void
-insertCrossTbDeps(InstrGraph &graph,
-                  std::vector<std::vector<IrDep>> &deps_out,
-                  std::vector<bool> &has_dep_out)
+/**
+ * Cross thread block dependencies (paper §5.2), stored flat: node v's
+ * are deps[offsets[v] .. offsets[v + 1]), one per predecessor thread
+ * block (its latest step), sorted by thread block.
+ */
+struct CrossTbDeps
 {
-    deps_out.assign(graph.numNodes(), {});
-    has_dep_out.assign(graph.numNodes(), false);
-    for (const InstrEdge &edge : graph.edges()) {
-        const InstrNode &from = graph.node(edge.from);
-        const InstrNode &to = graph.node(edge.to);
-        if (!from.live || !to.live || edge.from == edge.to)
-            continue;
-        if (from.rank != to.rank || from.tb == to.tb)
-            continue; // same-block order is implicit
-        // Keep only the latest step per predecessor thread block.
-        bool merged = false;
-        for (IrDep &dep : deps_out[edge.to]) {
-            if (dep.tb == from.tb) {
-                dep.step = std::max(dep.step, from.step);
-                merged = true;
-                break;
-            }
+    std::vector<int> offsets;
+    std::vector<IrDep> deps;
+    /** Per node: some other thread block waits on it. */
+    std::vector<char> hasDep;
+};
+
+CrossTbDeps
+insertCrossTbDeps(const LiveGraph &live, const Placement &at)
+{
+    // Only same-rank edges between different blocks need an explicit
+    // dependency: same-block order is implicit and a communication
+    // edge always crosses ranks. Transpose those edges so each node
+    // sees its predecessors together.
+    int n = live.size();
+    auto crosses = [&](int from, int to) {
+        return at.rank[from] == at.rank[to] && at.tb[from] != at.tb[to];
+    };
+    std::vector<int> pred_offsets(n + 1, 0);
+    for (int u = 0; u < n; u++) {
+        for (int v : live.succs(u)) {
+            if (crosses(u, v))
+                pred_offsets[v + 1]++;
         }
-        if (!merged)
-            deps_out[edge.to].push_back(IrDep{ from.tb, from.step });
-        has_dep_out[edge.from] = true;
     }
+    for (int v = 0; v < n; v++)
+        pred_offsets[v + 1] += pred_offsets[v];
+    std::vector<int> preds(pred_offsets[n]);
+    std::vector<int> fill(pred_offsets.begin(), pred_offsets.end() - 1);
+    for (int u = 0; u < n; u++) {
+        for (int v : live.succs(u)) {
+            if (crosses(u, v))
+                preds[fill[v]++] = u;
+        }
+    }
+
+    CrossTbDeps out;
+    out.offsets.reserve(n + 1);
+    out.offsets.push_back(0);
+    out.hasDep.assign(n, 0);
+    for (int v = 0; v < n; v++) {
+        auto first = static_cast<std::ptrdiff_t>(out.deps.size());
+        for (int i = pred_offsets[v]; i < pred_offsets[v + 1]; i++) {
+            int u = preds[i];
+            out.hasDep[u] = 1;
+            // Keep only the latest step per predecessor thread block.
+            auto dep = std::find_if(
+                out.deps.begin() + first, out.deps.end(),
+                [&](const IrDep &d) { return d.tb == at.tb[u]; });
+            if (dep != out.deps.end())
+                dep->step = std::max(dep->step, at.step[u]);
+            else
+                out.deps.push_back(IrDep{ at.tb[u], at.step[u] });
+        }
+        std::sort(out.deps.begin() + first, out.deps.end(),
+                  [](const IrDep &a, const IrDep &b) {
+                      return std::tie(a.tb, a.step) <
+                          std::tie(b.tb, b.step);
+                  });
+        out.offsets.push_back(static_cast<int>(out.deps.size()));
+    }
+    return out;
 }
 
 } // namespace
@@ -781,11 +878,12 @@ scheduleProgram(const Program &program, InstrGraph &graph,
                 options.maxThreadBlocks));
         }
     }
-    assignInstructions(graph, ranks, std::max(1, options.slots));
-
-    std::vector<std::vector<IrDep>> deps;
-    std::vector<bool> has_dep;
-    insertCrossTbDeps(graph, deps, has_dep);
+    // The graph's edges are final from here on; the sweeps and the
+    // dependency pass run over one compact snapshot of it.
+    LiveGraph live(graph);
+    Placement at =
+        assignInstructions(graph, live, ranks, std::max(1, options.slots));
+    CrossTbDeps deps = insertCrossTbDeps(live, at);
 
     const Collective &coll = program.collective();
     IrProgram ir;
@@ -810,8 +908,8 @@ scheduleProgram(const Program &program, InstrGraph &graph,
             out.sendPeer = tb.key.sendPeer;
             out.recvPeer = tb.key.recvPeer;
             out.channel = tb.key.channel;
-            for (int node_id : tb.steps) {
-                const InstrNode &node = graph.node(node_id);
+            for (int v : tb.steps) {
+                const InstrNode &node = graph.node(live.nodeId(v));
                 IrInstruction instr;
                 instr.op = node.op;
                 const BufferSlice &src =
@@ -826,13 +924,10 @@ scheduleProgram(const Program &program, InstrGraph &graph,
                                                     : dst.count;
                 instr.splitIdx = node.splitIdx;
                 instr.splitCount = node.splitCount;
-                instr.deps = deps[node_id];
-                std::sort(instr.deps.begin(), instr.deps.end(),
-                          [](const IrDep &a, const IrDep &b) {
-                              return std::tie(a.tb, a.step) <
-                                  std::tie(b.tb, b.step);
-                          });
-                instr.hasDep = has_dep[node_id];
+                instr.deps.assign(
+                    deps.deps.begin() + deps.offsets[v],
+                    deps.deps.begin() + deps.offsets[v + 1]);
+                instr.hasDep = deps.hasDep[v] != 0;
                 out.steps.push_back(std::move(instr));
             }
             gpu.threadBlocks.push_back(std::move(out));

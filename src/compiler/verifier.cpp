@@ -30,8 +30,17 @@ class FractionalCell
   public:
     /** Writes @p value over @p range, splitting existing segments. */
     void
-    write(const FracInterval &range, const ChunkValue &value)
+    write(const FracInterval &range, ChunkValue value)
     {
+        // Segments are sorted and disjoint: a write spanning the first
+        // and the last replaces them all (the whole-chunk common case).
+        if (segments_.empty() ||
+            (range.lo <= segments_.front().range.lo &&
+             segments_.back().range.hi <= range.hi)) {
+            segments_.clear();
+            segments_.push_back(Segment{ range, std::move(value) });
+            return;
+        }
         std::vector<Segment> next;
         for (const Segment &seg : segments_) {
             if (!seg.range.overlaps(range)) {
@@ -47,7 +56,7 @@ class FractionalCell
                     Segment{ { range.hi, seg.range.hi }, seg.value });
             }
         }
-        next.push_back(Segment{ range, value });
+        next.push_back(Segment{ range, std::move(value) });
         std::sort(next.begin(), next.end(),
                   [](const Segment &a, const Segment &b) {
                       return a.range.lo < b.range.lo;
@@ -239,12 +248,12 @@ class AbstractMachine
                 "%s: rank %d %s[%d]: %s", what, rank,
                 bufferKindName(buf), index, why.c_str()));
         }
-        return *value;
+        return std::move(*value);
     }
 
     void
     writePart(int rank, BufferKind buf, int index,
-              const FracInterval &range, const ChunkValue &value,
+              const FracInterval &range, ChunkValue value,
               const char *what)
     {
         std::vector<FractionalCell> &cells = bufferOf(rank, buf);
@@ -253,7 +262,7 @@ class AbstractMachine
                 "%s: rank %d %s[%d] out of bounds (%zu chunks)", what,
                 rank, bufferKindName(buf), index, cells.size()));
         }
-        cells[index].write(range, value);
+        cells[index].write(range, std::move(value));
     }
 
     bool
@@ -353,14 +362,15 @@ class AbstractMachine
                 ChunkValue value = readPart(
                     gpu.rank, instr.srcBuf, instr.srcOff + rel, range,
                     "send");
-                outgoing.push_back(MessagePart{ rel, range, value });
+                outgoing.push_back(
+                    MessagePart{ rel, range, std::move(value) });
             }
             break;
           case IrOp::Recv:
             for (size_t i = 0; i < count; i++) {
                 writePart(gpu.rank, instr.dstBuf,
                           instr.dstOff + static_cast<int>(i),
-                          range, incoming[i].value, "recv");
+                          range, std::move(incoming[i].value), "recv");
             }
             break;
           case IrOp::Copy:
@@ -369,7 +379,7 @@ class AbstractMachine
                     gpu.rank, instr.srcBuf, instr.srcOff + rel, range,
                     "copy");
                 writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
-                          range, value, "copy");
+                          range, std::move(value), "copy");
             }
             break;
           case IrOp::Reduce:
@@ -395,13 +405,16 @@ class AbstractMachine
                 ChunkValue combined =
                     ChunkValue::reduce(local, incoming[i].value);
                 if (irOpWritesDst(instr.op)) {
+                    // Copy only when the value is also sent on.
                     writePart(gpu.rank, instr.dstBuf,
-                              instr.dstOff + rel, range, combined,
+                              instr.dstOff + rel, range,
+                              sends ? ChunkValue(combined)
+                                    : std::move(combined),
                               irOpName(instr.op));
                 }
                 if (sends) {
                     outgoing.push_back(
-                        MessagePart{ rel, range, combined });
+                        MessagePart{ rel, range, std::move(combined) });
                 }
             }
             break;
@@ -410,8 +423,8 @@ class AbstractMachine
                 int rel = static_cast<int>(i);
                 writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
                           range, incoming[i].value, "rcs");
-                outgoing.push_back(
-                    MessagePart{ rel, range, incoming[i].value });
+                outgoing.push_back(MessagePart{
+                    rel, range, std::move(incoming[i].value) });
             }
             break;
         }

@@ -71,10 +71,12 @@ void
 expectBitIdentical(const Topology &topo, const IrProgram &ir,
                    std::uint64_t bytes)
 {
-    std::string path_a =
-        testing::TempDir() + "mscclang_determinism_a.json";
-    std::string path_b =
-        testing::TempDir() + "mscclang_determinism_b.json";
+    // Per-test names: ctest -j runs the tests of this file as
+    // concurrent processes sharing one temp directory.
+    std::string stem = testing::TempDir() + "mscclang_determinism_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::string path_a = stem + "_a.json";
+    std::string path_b = stem + "_b.json";
     ExecStats a = runTimed(topo, ir, bytes, path_a);
     ExecStats b = runTimed(topo, ir, bytes, path_b);
     EXPECT_EQ(a.endNs, b.endNs);
@@ -721,6 +723,18 @@ goldenPrograms()
           } },
         { "twostep_alltoall_2x4", 0x45fd89fa179dffa7ull,
           [=] { return xml(*makeTwoStepAllToAll(2, 4, plain)); } },
+        // A chunk-parallelized ring (parallelize scope on top of the
+        // program-wide instances) and a wider two-step alltoall: the
+        // scheduler's FIFO gates and thread-block pairing on many
+        // sibling channels and many peers per rank.
+        { "ring_allreduce_8x2_i2_p2", 0x47f86528a2787941ull,
+          [=] {
+              AlgoConfig par = i2;
+              par.parallelize = 2;
+              return xml(*makeRingAllReduce(8, 2, par));
+          } },
+        { "twostep_alltoall_4x8", 0x8f18969ad8baa832ull,
+          [=] { return xml(*makeTwoStepAllToAll(4, 8, plain)); } },
         { "naive_alltoall_8", 0xf3352f705b2aeb2eull,
           [=] { return xml(*makeNaiveAllToAll(8, plain)); } },
         { "alltonext_2x4", 0xc05b83444d2becf6ull,

@@ -23,6 +23,7 @@
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
 #include "common/strings.h"
+#include "compiler/chunk_dag.h"
 #include "compiler/plan_cache.h"
 #include "search/search.h"
 #include "topology/topology.h"
@@ -149,6 +150,81 @@ slurp(const std::string &path)
     std::string out((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
     return out;
+}
+
+// The compiler's linear critical path must equal the Chunk DAG's,
+// which it replaces on the compile path.
+TEST(ChunkDag, LinearCriticalPathMatchesDag)
+{
+    for (const Case &c : allCollectives()) {
+        SCOPED_TRACE(c.name);
+        std::unique_ptr<Program> prog = c.make();
+        EXPECT_EQ(chunkCriticalPath(*prog),
+                  ChunkDag(*prog).criticalPathLength());
+    }
+
+    // Hand-built corner cases of the access analysis.
+    std::vector<std::pair<const char *, std::function<void(Program &)>>>
+        bodies = {
+        { "empty", [](Program &) {} },
+        { "in_place_output_aliases_input",
+          [](Program &p) {
+              // Rank 1's Output 0 is its Input 0: the read of Input 0
+              // must follow the write through the Output name.
+              p.chunk(0, BufferKind::Input, 0)
+                  .copy(1, BufferKind::Output, 0);
+              p.chunk(1, BufferKind::Input, 0)
+                  .copy(2, BufferKind::Scratch, 0);
+              p.chunk(2, BufferKind::Scratch, 0)
+                  .copy(2, BufferKind::Output, 0);
+          } },
+        { "local_reduce_reads_its_destination",
+          [](Program &p) {
+              p.chunk(1, BufferKind::Input, 0)
+                  .copy(0, BufferKind::Scratch, 0);
+              // Depends on the copy through its destination operand.
+              p.chunk(0, BufferKind::Scratch, 0)
+                  .reduce(p.chunk(0, BufferKind::Input, 0));
+              p.chunk(0, BufferKind::Scratch, 0)
+                  .copy(2, BufferKind::Scratch, 0);
+          } },
+        { "copy_onto_its_own_slice",
+          [](Program &p) {
+              p.chunk(1, BufferKind::Input, 1)
+                  .copy(0, BufferKind::Input, 1);
+              p.chunk(0, BufferKind::Input, 1)
+                  .copy(0, BufferKind::Input, 1);
+              p.chunk(0, BufferKind::Input, 1)
+                  .copy(0, BufferKind::Output, 1);
+              p.chunk(0, BufferKind::Input, 1)
+                  .copy(2, BufferKind::Scratch, 0);
+          } },
+        { "multi_count_slices",
+          [](Program &p) {
+              p.chunk(0, BufferKind::Input, 0, 2)
+                  .copy(1, BufferKind::Scratch, 0);
+              p.chunk(2, BufferKind::Input, 1, 2)
+                  .copy(1, BufferKind::Scratch, 1);
+              // Reads the first write's chunk 0 and the second's
+              // chunks 1 and 2.
+              p.chunk(1, BufferKind::Scratch, 0, 3)
+                  .copy(2, BufferKind::Scratch, 0);
+              p.chunk(1, BufferKind::Scratch, 2)
+                  .reduce(p.chunk(0, BufferKind::Input, 2));
+              p.chunk(1, BufferKind::Input, 0, 3)
+                  .copy(1, BufferKind::Scratch, 3);
+          } },
+    };
+    for (const auto &[name, body] : bodies) {
+        SCOPED_TRACE(name);
+        Program prog(std::make_shared<AllReduceCollective>(3, 3));
+        body(prog);
+        ChunkDag dag(prog);
+        EXPECT_EQ(chunkCriticalPath(prog), dag.criticalPathLength());
+        if (std::string(name) != "empty") {
+            EXPECT_GT(dag.criticalPathLength(), 1);
+        }
+    }
 }
 
 TEST(PlanCache, WarmHitIsByteIdenticalForEveryCollective)

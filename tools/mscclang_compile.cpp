@@ -247,14 +247,19 @@ main(int argc, char **argv)
                 "instrs pre-fusion  %6d\n"
                 "instrs post-fusion %6d (rcs=%d rrcs=%d rrs=%d)\n"
                 "channels           %6d\n"
-                "thread blocks/gpu  %6d\n",
+                "thread blocks/gpu  %6d\n"
+                "pass ms: critical path %.3f, lower %.3f, fuse %.3f, "
+                "schedule %.3f, verifyIr %.3f\n",
                 args.algo.c_str(), topo.name().c_str(),
                 topo.numRanks(), out.stats.traceOps,
                 out.stats.chunkCriticalPath,
                 out.stats.instrsBeforeFusion,
                 out.stats.instrsAfterFusion, out.stats.fusion.rcs,
                 out.stats.fusion.rrcs, out.stats.fusion.rrs,
-                out.stats.channels, out.stats.maxThreadBlocks);
+                out.stats.channels, out.stats.maxThreadBlocks,
+                out.stats.criticalPathNs * 1e-6, out.stats.lowerNs * 1e-6,
+                out.stats.fuseNs * 1e-6, out.stats.scheduleNs * 1e-6,
+                out.stats.verifyNs * 1e-6);
         }
         if (args.dot) {
             ChunkDag dag(*prog);

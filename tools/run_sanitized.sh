@@ -7,7 +7,11 @@
 # compiler's shared paths — the plan cache's locked LRU + disk spill
 # and the parallel race verifier's per-rank thread pool — plus the
 # workload replay engine (Workload|Replay|Slo), which multiplexes
-# live executions and recovery retries over one shared fabric. Also
+# live executions and recovery retries over one shared fabric, and
+# the compiler passes' raw index arithmetic — the linear critical
+# path, lowering's access histories, fusion's edge rewiring, the
+# scheduler's compact graph and flat tables
+# (ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats). Also
 # registered as the "sanitize" ctest configuration (ctest -C sanitize)
 # next to the existing "perf" configuration.
 #
@@ -54,7 +58,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|UnionFind}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|UnionFind|ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -62,7 +66,8 @@ cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
 cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
-    test_unionfind -j"$(nproc)"
+    test_unionfind test_compiler test_schedule test_instr_graph \
+    -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
