@@ -25,7 +25,9 @@
  * With --json PATH the same numbers are written as BENCH_sim.json,
  * including speedup factors versus the frozen pre-overhaul baseline
  * (kSeedBaseline*, measured at the seed simulator on the reference
- * container); tools/run_benches.sh invokes it that way.
+ * container) and versus the frozen pre-sharding flow network
+ * (kGlobalRecomputeBaseline); tools/run_benches.sh invokes it that
+ * way.
  */
 
 #include <algorithm>
@@ -62,6 +64,25 @@ namespace {
  */
 constexpr double kSeedBaselineAllreduceMs = 5.58; // ms per run
 constexpr double kSeedBaselineTunerMs = 223.0;    // ms per sweep
+
+/**
+ * The pre-sharding flow network (one global max-min recompute on
+ * every update, 1 thread), last measured in the scaling workload's
+ * 1 MB Ring AllReduce and churn cells before that engine was
+ * deleted. Frozen like the seed baseline; rank counts without an
+ * entry report a speedup of 0.
+ */
+struct GlobalRecomputeBaseline
+{
+    int ranks;
+    double allreduceMs; // ms per run
+    double churnMs;     // ms per churn cell
+};
+constexpr GlobalRecomputeBaseline kGlobalRecomputeBaseline[] = {
+    { 16, 1.3271, 6.1341 },
+    { 64, 31.0082, 108.2964 },
+    { 128, 149.6298, 439.7702 },
+};
 
 struct Fingerprint
 {
@@ -128,30 +149,23 @@ parseIntList(const char *flag, const char *arg, int lo, int hi)
 }
 
 /**
- * One scaling cell: repeated 1 MB timing-mode Ring AllReduce runs at
- * a given simulation thread count (or with sharding disabled — the
- * pre-sharding global-recompute engine). Returns the fastest pass
- * wall-clock and the (identical-across-passes) simulated fingerprint.
- */
-/**
  * Flow-network churn cell: the subsystem microbench that isolates the
  * component the sharded engine parallelizes. Every ring pair keeps
  * @p lanes flows in flight; each completion immediately starts the
  * next, with pair- and wave-staggered sizes so completions land on
- * *distinct* timestamps — the irregular-traffic regime where the
- * global engine recomputes every flow in the machine per update while
- * the sharded engine touches one component. (Symmetric collectives
- * coalesce same-instant completions into one update, which is why
- * the full-stack cells above show a smaller gap.)
+ * *distinct* timestamps — the irregular-traffic regime where a
+ * global engine would recompute every flow in the machine per update
+ * while the sharded engine touches one component. (Symmetric
+ * collectives coalesce same-instant completions into one update,
+ * which is why the full-stack cells show a smaller gap against the
+ * frozen global-recompute baseline.)
  */
 double
-runChurnCell(const Topology &topo, int ranks, int threads,
-             bool sharded, int waves, int lanes, TimeNs *end_ns,
-             double *delivered)
+runChurnCell(const Topology &topo, int ranks, int threads, int waves,
+             int lanes, TimeNs *end_ns, double *delivered)
 {
     EventQueue events;
     FlowNetwork net(topo, events);
-    net.enableSharding(sharded);
     net.setThreads(threads);
     auto t0 = std::chrono::steady_clock::now();
     std::vector<int> left(ranks, waves);
@@ -175,9 +189,14 @@ runChurnCell(const Topology &topo, int ranks, int threads,
     return wallMs(t0);
 }
 
+/**
+ * One scaling cell: repeated 1 MB timing-mode Ring AllReduce runs at
+ * a given simulation thread count. Returns the fastest pass
+ * wall-clock and the (identical-across-passes) simulated fingerprint.
+ */
 double
 runScalingCell(const Topology &topo, const IrProgram &ir, int threads,
-               bool sharded, int passes, Fingerprint *fp,
+               int passes, Fingerprint *fp,
                bool parallel_interp = false,
                SimProfile *profile = nullptr)
 {
@@ -187,7 +206,6 @@ runScalingCell(const Topology &topo, const IrProgram &ir, int threads,
         EventQueue events;
         FlowNetwork network(topo, events);
         network.setThreads(threads);
-        network.enableSharding(sharded);
         // The profiled pass is separate from the timed passes
         // (callers pass passes=1 with a profile): the timer
         // bookkeeping itself would perturb the ms/run numbers.
@@ -503,11 +521,10 @@ main(int argc, char **argv)
 
     // ---------------------------------------------------------------
     // Workload 3: ranks x threads scaling, both interpreter engines.
-    // Each rank count first measures the pre-sharding engine (global
-    // max-min recompute on every update: enableSharding(false),
-    // 1 thread) as the algorithmic baseline, then the sharded engine
-    // across the thread axis with the serial interpreter, then the
-    // same axis with the parallel interpreter (DESIGN.md §13).
+    // Each rank count measures the flow network across the thread
+    // axis with the serial interpreter, then the same axis with the
+    // parallel interpreter (DESIGN.md §13), and reports speedups
+    // against the frozen global-recompute baseline.
     // Simulated fingerprints must be bit-identical across thread
     // counts within each engine, and across engines up to wireBytes
     // fp-summation order — the bench enforces both. It also enforces
@@ -526,15 +543,13 @@ main(int argc, char **argv)
         Fingerprint fp;
         double vsFirst;    // speedup vs this engine's 1-thread cell
         double vsSerial1t; // speedup vs serial-interp 1-thread cell
-        double vsGlobal;   // speedup vs the unsharded baseline
+        double vsGlobal;   // speedup vs the frozen unsharded baseline
         double churnMs;    // flow-network churn (serial cells only)
         TimeNs churnEndNs;
         double churnVsGlobal;
         SimProfile prof;   // --profile pass (zeros otherwise)
     };
     std::vector<ScalingCell> cells;
-    // Per rank count: (full-stack baseline ms, churn baseline ms).
-    std::vector<std::pair<int, std::pair<double, double>>> global_ms;
     // Per rank count: the serial-engine 1-thread ms (the 0.95x and
     // vs-serial reference).
     std::vector<std::pair<int, double>> serial_1t_ms;
@@ -547,24 +562,13 @@ main(int argc, char **argv)
         Topology stopo = makeNdv4(ranks / 8);
         IrProgram sring =
             compileProgram(*makeRingAllReduce(ranks, 4, cfg)).ir;
-        Fingerprint base_fp;
-        double base_ms = runScalingCell(stopo, sring, 1, false,
-                                        scale_passes, &base_fp);
-        TimeNs churn_base_end = 0;
-        double churn_base_delivered = 0.0;
-        double churn_base_ms =
-            runChurnCell(stopo, ranks, 1, false, churn_waves,
-                         churn_lanes, &churn_base_end,
-                         &churn_base_delivered);
-        global_ms.emplace_back(
-            ranks, std::make_pair(base_ms, churn_base_ms));
-        std::printf("ranks=%-3d global-recompute baseline: allreduce "
-                    "%.3f ms (endNs=%lld), churn %.3f ms "
-                    "(endNs=%lld)\n",
-                    ranks, base_ms,
-                    static_cast<long long>(base_fp.endNs),
-                    churn_base_ms,
-                    static_cast<long long>(churn_base_end));
+        double base_ms = 0.0, churn_base_ms = 0.0;
+        for (const GlobalRecomputeBaseline &b : kGlobalRecomputeBaseline) {
+            if (b.ranks == ranks) {
+                base_ms = b.allreduceMs;
+                churn_base_ms = b.churnMs;
+            }
+        }
         Fingerprint serial_ref; // serial engine, first thread count
         TimeNs churn_ref_end = 0;
         double churn_ref_delivered = 0.0;
@@ -579,7 +583,7 @@ main(int argc, char **argv)
                 cell.threads = scale_threads[t];
                 cell.parallelInterp = pinterp;
                 cell.ms = runScalingCell(stopo, sring, cell.threads,
-                                         true, scale_passes, &cell.fp,
+                                         scale_passes, &cell.fp,
                                          pinterp);
                 cell.churnMs = 0.0;
                 cell.churnEndNs = 0;
@@ -589,7 +593,7 @@ main(int argc, char **argv)
                     // loop; measure it once, on the serial axis.
                     double churn_delivered = 0.0;
                     cell.churnMs = runChurnCell(
-                        stopo, ranks, cell.threads, true, churn_waves,
+                        stopo, ranks, cell.threads, churn_waves,
                         churn_lanes, &cell.churnEndNs,
                         &churn_delivered);
                     if (t == 0) {
@@ -629,8 +633,8 @@ main(int argc, char **argv)
                     fp_mismatch = true;
                 }
                 if (profile_on) {
-                    runScalingCell(stopo, sring, cell.threads, true,
-                                   1, nullptr, pinterp, &cell.prof);
+                    runScalingCell(stopo, sring, cell.threads, 1,
+                                   nullptr, pinterp, &cell.prof);
                 }
                 cell.vsFirst =
                     cell.ms > 0.0 ? first_ms / cell.ms : 0.0;
@@ -694,12 +698,11 @@ main(int argc, char **argv)
              attempt < 3 && cell.vsSerial1t < 0.95; attempt++) {
             for (int p = 0; p < scale_passes; p++) {
                 ref_ms = std::min(
-                    ref_ms, runScalingCell(stopo, sring, 1, true, 1,
-                                           nullptr));
+                    ref_ms, runScalingCell(stopo, sring, 1, 1, nullptr));
                 cell.ms = std::min(
                     cell.ms,
-                    runScalingCell(stopo, sring, cell.threads, true,
-                                   1, nullptr, cell.parallelInterp));
+                    runScalingCell(stopo, sring, cell.threads, 1,
+                                   nullptr, cell.parallelInterp));
             }
             cell.vsSerial1t =
                 cell.ms > 0.0 ? ref_ms / cell.ms : 0.0;
@@ -776,13 +779,14 @@ main(int argc, char **argv)
         unsigned hw = std::thread::hardware_concurrency();
         std::fprintf(f, "  \"host_cpus\": %u,\n", hw > 0 ? hw : 1);
         std::fprintf(f, "  \"global_recompute_baseline_ms\": {");
-        for (size_t i = 0; i < global_ms.size(); i++)
+        for (const GlobalRecomputeBaseline &b :
+             kGlobalRecomputeBaseline) {
             std::fprintf(f,
                          "%s\"%d\": {\"allreduce\": %.4f, "
                          "\"churn\": %.4f}",
-                         i > 0 ? ", " : "", global_ms[i].first,
-                         global_ms[i].second.first,
-                         global_ms[i].second.second);
+                         &b == kGlobalRecomputeBaseline ? "" : ", ",
+                         b.ranks, b.allreduceMs, b.churnMs);
+        }
         std::fprintf(f, "},\n  \"scaling\": [\n");
         for (size_t i = 0; i < cells.size(); i++) {
             const ScalingCell &c = cells[i];

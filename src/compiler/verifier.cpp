@@ -14,7 +14,6 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "compiler/frac.h"
-#include "compiler/unionfind.h"
 
 namespace mscclang {
 
@@ -554,7 +553,6 @@ struct HbGraph
     std::vector<int> indeg;
 
     int n() const { return static_cast<int>(nodes.size()); }
-    int outdeg(int v) const { return succOff[v + 1] - succOff[v]; }
 };
 
 HbGraph
@@ -781,9 +779,8 @@ struct ConflictPair
 /**
  * Enumerates one rank's conflict pairs — same location, overlapping
  * fractions, at least one write, different thread blocks — in
- * (buffer, chunk, first access, second access) order. Both engines
- * derive candidates from this list in identical order, which is what
- * keeps their verdicts and error messages interchangeable.
+ * (buffer, chunk, first access, second access) order. The first
+ * unordered pair in this order is the one an error message names.
  */
 std::vector<ConflictPair>
 conflictPairs(const HbGraph &g, std::vector<LocEntry> &entries)
@@ -840,205 +837,80 @@ raceMessage(const HbGraph &g, const ConflictPair &pair)
 }
 
 /**
- * The happens-before graph condensed to chains: runs of nodes linked
- * by edges (u, v) with outdeg(u) == 1 and indeg(v) == 1 (program
- * order, dependency and communication edges alike) collapse into one
- * class. The contraction criterion makes every class a path, and it
- * confines cross-class edges to chain endpoints — a cross edge
- * leaves only a chain's last node (any node with another outgoing
- * edge was never merged with a successor) and enters only a chain's
- * first node. Two exactness consequences the verifier relies on:
- * nodes sharing a chain are totally ordered, and for a != b in
- * different chains, a reaches b iff a's chain reaches b's chain in
- * the condensed DAG. Compiled collectives are dominated by long
- * dependency chains, so the condensed graph is typically orders of
- * magnitude smaller than the instruction graph.
+ * The happens-before graph relabelled by topological position: node
+ * order[p] becomes p. The per-rank sweep then reads ancestor rows in
+ * ascending memory order and writes only rows ahead of the one it
+ * reads, instead of hopping across ranks in node-id order.
  */
-struct ChainGraph
+struct TopoGraph
 {
-    int numChains = 0;
-    std::vector<int> chainOf; // node -> chain id, ids in topo order
-    std::vector<int> succOff; // condensed CSR, deduplicated
+    std::vector<int> pos;     // node -> topological position
+    std::vector<int> succOff; // successors of position p, as positions
     std::vector<int> succ;
 };
 
-ChainGraph
-condenseChains(const HbGraph &g, const std::vector<int> &order,
-               int threads)
+TopoGraph
+relabelByTopoOrder(const HbGraph &g, const std::vector<int> &order)
 {
     int n = g.n();
-    ConcurrentUnionFind uf(static_cast<size_t>(n));
-    // The contraction is a single scan over nodes: each worker takes
-    // a static slice and unions its contractible out-edges. The final
-    // partition depends only on the edge set, not the interleaving,
-    // so any thread count produces the same chains.
-    auto contract = [&](int lo, int hi) {
-        for (int u = lo; u < hi; u++) {
-            if (g.outdeg(u) != 1)
-                continue;
-            int v = g.succ[g.succOff[u]];
-            if (g.indeg[v] == 1)
-                uf.unite(static_cast<size_t>(u),
-                         static_cast<size_t>(v));
-        }
-    };
-    if (threads > 1 && n >= 1 << 16) {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        int stride = (n + threads - 1) / threads;
-        for (int t = 0; t < threads; t++) {
-            int lo = t * stride;
-            pool.emplace_back(contract, lo,
-                              std::min(n, lo + stride));
-        }
-        for (std::thread &t : pool)
-            t.join();
-    } else {
-        contract(0, n);
+    TopoGraph t;
+    t.pos.resize(n);
+    for (int p = 0; p < n; p++)
+        t.pos[order[p]] = p;
+    t.succOff.resize(n + 1);
+    t.succ.reserve(g.succ.size());
+    for (int p = 0; p < n; p++) {
+        t.succOff[p] = static_cast<int>(t.succ.size());
+        int v = order[p];
+        for (int e = g.succOff[v]; e < g.succOff[v + 1]; e++)
+            t.succ.push_back(t.pos[g.succ[e]]);
     }
-
-    ChainGraph c;
-    c.chainOf.assign(n, -1);
-    // Number chains by the topological position of their first node:
-    // every other member is a descendant, so the first member of a
-    // chain reached in topo order is its head, and ascending chain
-    // ids are automatically a topological order of the condensed DAG.
-    std::vector<int> id_of_root(n, -1);
-    for (int v : order) {
-        int root = static_cast<int>(uf.find(static_cast<size_t>(v)));
-        if (id_of_root[root] < 0)
-            id_of_root[root] = c.numChains++;
-        c.chainOf[v] = id_of_root[root];
-    }
-
-    std::vector<std::pair<int, int>> cedges;
-    for (int u = 0; u < n; u++) {
-        for (int e = g.succOff[u]; e < g.succOff[u + 1]; e++) {
-            int cu = c.chainOf[u], cv = c.chainOf[g.succ[e]];
-            if (cu != cv)
-                cedges.push_back({ cu, cv });
-        }
-    }
-    std::sort(cedges.begin(), cedges.end());
-    cedges.erase(std::unique(cedges.begin(), cedges.end()),
-                 cedges.end());
-    c.succOff.assign(c.numChains + 1, 0);
-    for (const auto &[from, to] : cedges)
-        c.succOff[from + 1]++;
-    for (int v = 0; v < c.numChains; v++)
-        c.succOff[v + 1] += c.succOff[v];
-    c.succ.resize(cedges.size());
-    std::vector<int> cursor(c.succOff.begin(), c.succOff.end() - 1);
-    for (const auto &[from, to] : cedges)
-        c.succ[cursor[from]++] = to;
-    return c;
+    t.succOff[n] = static_cast<int>(t.succ.size());
+    return t;
 }
 
 /**
- * Chain-condensed per-rank check: candidate columns are chains, and
- * ancestor bits propagate over the condensed DAG (chain ids are
- * already a topological order). Same-chain pairs are ordered by
- * construction.
+ * Per-rank check: candidate columns are the rank's conflicting
+ * instructions, and ancestor bits propagate over the whole graph in
+ * topological order.
  */
 std::string
-checkRankChains(const HbGraph &g, const ChainGraph &c,
-                std::vector<LocEntry> &entries)
-{
-    std::vector<ConflictPair> pairs = conflictPairs(g, entries);
-    if (pairs.empty())
-        return std::string();
-
-    std::vector<int> cols(c.numChains, -1);
-    std::vector<int> cand;
-    for (const ConflictPair &pair : pairs) {
-        for (int v : { pair.a, pair.b }) {
-            int chain = c.chainOf[v];
-            if (cols[chain] < 0) {
-                cols[chain] = static_cast<int>(cand.size());
-                cand.push_back(chain);
-            }
-        }
-    }
-
-    size_t words = (cand.size() + 63) / 64;
-    std::vector<std::uint64_t> anc(
-        static_cast<size_t>(c.numChains) * words, 0);
-    for (int v = 0; v < c.numChains; v++) {
-        const std::uint64_t *src = &anc[v * words];
-        int vcol = cols[v];
-        for (int e = c.succOff[v]; e < c.succOff[v + 1]; e++) {
-            std::uint64_t *dst =
-                &anc[static_cast<size_t>(c.succ[e]) * words];
-            for (size_t w = 0; w < words; w++)
-                dst[w] |= src[w];
-            if (vcol >= 0) {
-                dst[static_cast<size_t>(vcol) / 64] |= 1ULL
-                    << (static_cast<size_t>(vcol) % 64);
-            }
-        }
-    }
-    auto bit = [&](int of_chain, int anc_chain) {
-        int col = cols[anc_chain];
-        return (anc[static_cast<size_t>(of_chain) * words +
-                    static_cast<size_t>(col) / 64] >>
-                    (static_cast<size_t>(col) % 64) &
-                1) != 0;
-    };
-    for (const ConflictPair &pair : pairs) {
-        int ca = c.chainOf[pair.a], cb = c.chainOf[pair.b];
-        if (ca == cb)
-            continue; // a chain is a path: totally ordered
-        if (bit(cb, ca) || bit(ca, cb))
-            continue;
-        return raceMessage(g, pair);
-    }
-    return std::string();
-}
-
-/**
- * Reference per-rank check: candidate columns are instructions and
- * ancestor bits propagate over the full graph — the engine the
- * chain-condensed one must agree with verdict-for-verdict.
- */
-std::string
-checkRankReference(const HbGraph &g, const std::vector<int> &order,
-                   std::vector<LocEntry> &entries)
+checkRank(const HbGraph &g, const TopoGraph &t,
+          std::vector<LocEntry> &entries)
 {
     std::vector<ConflictPair> pairs = conflictPairs(g, entries);
     if (pairs.empty())
         return std::string();
 
     int n = g.n();
-    std::vector<int> cols(n, -1);
-    std::vector<int> cand;
+    std::vector<int> cols(n, -1); // by topological position
+    int num_cols = 0;
     for (const ConflictPair &pair : pairs) {
         for (int v : { pair.a, pair.b }) {
-            if (cols[v] < 0) {
-                cols[v] = static_cast<int>(cand.size());
-                cand.push_back(v);
-            }
+            if (cols[t.pos[v]] < 0)
+                cols[t.pos[v]] = num_cols++;
         }
     }
 
-    size_t words = (cand.size() + 63) / 64;
+    size_t words = (static_cast<size_t>(num_cols) + 63) / 64;
     std::vector<std::uint64_t> anc(static_cast<size_t>(n) * words, 0);
-    for (int v : order) {
-        const std::uint64_t *src = &anc[v * words];
-        int vcol = cols[v];
-        for (int e = g.succOff[v]; e < g.succOff[v + 1]; e++) {
+    for (int p = 0; p < n; p++) {
+        const std::uint64_t *src = &anc[static_cast<size_t>(p) * words];
+        int pcol = cols[p];
+        for (int e = t.succOff[p]; e < t.succOff[p + 1]; e++) {
             std::uint64_t *dst =
-                &anc[static_cast<size_t>(g.succ[e]) * words];
+                &anc[static_cast<size_t>(t.succ[e]) * words];
             for (size_t w = 0; w < words; w++)
                 dst[w] |= src[w];
-            if (vcol >= 0) {
-                dst[static_cast<size_t>(vcol) / 64] |= 1ULL
-                    << (static_cast<size_t>(vcol) % 64);
+            if (pcol >= 0) {
+                dst[static_cast<size_t>(pcol) / 64] |= 1ULL
+                    << (static_cast<size_t>(pcol) % 64);
             }
         }
     }
     auto bit = [&](int of, int ancestor) {
-        int col = cols[ancestor];
-        return (anc[static_cast<size_t>(of) * words +
+        int col = cols[t.pos[ancestor]];
+        return (anc[static_cast<size_t>(t.pos[of]) * words +
                     static_cast<size_t>(col) / 64] >>
                     (static_cast<size_t>(col) % 64) &
                 1) != 0;
@@ -1051,7 +923,7 @@ checkRankReference(const HbGraph &g, const std::vector<int> &order,
     return std::string();
 }
 
-/** Worker-count resolution shared by both engines. */
+/** Worker-count resolution: 0 picks a hardware-sized default. */
 int
 resolveThreads(int threads)
 {
@@ -1126,27 +998,12 @@ void
 verifyRaceFree(const IrProgram &ir, int threads)
 {
     HbGraph g = buildHbGraph(ir);
-    std::vector<int> order = topoOrderOf(g);
-    int resolved = resolveThreads(threads);
-    ChainGraph chains = condenseChains(g, order, resolved);
-    std::vector<std::vector<LocEntry>> rank_accesses =
-        recordAccesses(g, ir);
-    driveRankChecks(g, rank_accesses, resolved,
-                    [&](std::vector<LocEntry> &entries) {
-                        return checkRankChains(g, chains, entries);
-                    });
-}
-
-void
-verifyRaceFreeReference(const IrProgram &ir, int threads)
-{
-    HbGraph g = buildHbGraph(ir);
-    std::vector<int> order = topoOrderOf(g);
+    TopoGraph t = relabelByTopoOrder(g, topoOrderOf(g));
     std::vector<std::vector<LocEntry>> rank_accesses =
         recordAccesses(g, ir);
     driveRankChecks(g, rank_accesses, resolveThreads(threads),
                     [&](std::vector<LocEntry> &entries) {
-                        return checkRankReference(g, order, entries);
+                        return checkRank(g, t, entries);
                     });
 }
 

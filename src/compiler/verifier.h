@@ -62,38 +62,20 @@ void verifyIr(const IrProgram &ir, const Collective &collective,
  * then demands every pair of conflicting accesses (same location,
  * overlapping byte fractions, at least one write) be ordered.
  *
- * The graph is first condensed to chains with a lock-free concurrent
- * union-find (compiler/unionfind.h): edges whose tail has out-degree
- * 1 and whose head has in-degree 1 contract, so the long dependency
- * runs a compiled collective is made of collapse to single classes.
- * The contraction is exact, not conservative — cross-chain edges only
- * leave chain tails and enter chain heads, so chain-level
- * reachability coincides with instruction-level reachability, and
- * nodes sharing a chain are totally ordered. Conflicting accesses
- * always live on one rank, so reachability is then computed per rank
- * over only that rank's candidate chains (bitset columns restricted
- * to the candidate set, propagated over the condensed DAG); ranks
- * with no cross-thread-block conflict pairs are skipped outright, and
- * the per-rank checks run on a small thread pool for large programs.
- * The union-find partition depends only on the edge set, never on
- * thread interleaving, so verdicts and error messages are identical
- * to the serial whole-graph analysis for every thread count.
+ * Conflicting accesses always live on one rank, so reachability is
+ * computed per rank over only that rank's candidate instructions
+ * (bitset columns restricted to the candidate set, propagated over
+ * the happens-before graph in topological order); ranks with no
+ * cross-thread-block conflict pairs are skipped outright, and the
+ * per-rank checks run on a small thread pool for large programs.
+ * The lowest failing rank's message wins, so verdicts and error
+ * messages are identical for every thread count.
  *
- * @param threads worker count for the contraction scan and the
- *        per-rank checks; 0 picks a hardware-sized default, 1 forces
- *        the serial path.
+ * @param threads worker count for the per-rank checks; 0 picks a
+ *        hardware-sized default, 1 forces the serial path.
  * @throws VerificationError naming the first unordered conflict.
  */
 void verifyRaceFree(const IrProgram &ir, int threads = 0);
-
-/**
- * The pre-condensation race check — candidate columns are individual
- * instructions propagated over the full happens-before graph. Kept as
- * the differential-testing oracle for verifyRaceFree(): both engines
- * must agree verdict-for-verdict and message-for-message on every
- * program at every thread count.
- */
-void verifyRaceFreeReference(const IrProgram &ir, int threads = 0);
 
 } // namespace mscclang
 

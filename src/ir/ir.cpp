@@ -1,6 +1,7 @@
 #include "ir/ir.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -269,8 +270,12 @@ depsFromAttr(const std::string &text)
         if (parts.size() != 2)
             throw Error("MSCCL-IR: malformed dependency '" + field + "'");
         IrDep dep;
-        dep.tb = std::stoi(parts[0]);
-        dep.step = std::stoi(parts[1]);
+        try {
+            dep.tb = std::stoi(parts[0]);
+            dep.step = std::stoi(parts[1]);
+        } catch (const std::logic_error &) {
+            throw Error("MSCCL-IR: malformed dependency '" + field + "'");
+        }
         deps.push_back(dep);
     }
     return deps;
@@ -329,6 +334,69 @@ IrProgram::toXml() const
     return writer.str();
 }
 
+namespace {
+
+/**
+ * Rejects structural indices the runtime and the verifiers would
+ * otherwise use unchecked to address per-rank and per-thread-block
+ * tables: @p gpu's thread block ids must be a permutation of
+ * [0, #blocks), peers must name a rank or -1, and every dependency
+ * must name an existing step of a block on the same GPU.
+ */
+void
+validateGpu(const IrGpu &gpu, int num_ranks)
+{
+    int num_tbs = static_cast<int>(gpu.threadBlocks.size());
+    std::vector<int> steps_of(num_tbs, -1);
+    for (const IrThreadBlock &tb : gpu.threadBlocks) {
+        if (tb.id < 0 || tb.id >= num_tbs)
+            throw Error(strprintf(
+                "MSCCL-IR: gpu %d tb id %d outside [0, %d)", gpu.rank,
+                tb.id, num_tbs));
+        if (steps_of[tb.id] >= 0)
+            throw Error(strprintf("MSCCL-IR: gpu %d tb id %d repeated",
+                                  gpu.rank, tb.id));
+        steps_of[tb.id] = static_cast<int>(tb.steps.size());
+        for (int peer : { tb.sendPeer, tb.recvPeer }) {
+            if (peer < -1 || peer >= num_ranks)
+                throw Error(strprintf(
+                    "MSCCL-IR: gpu %d tb %d peer %d outside [-1, %d)",
+                    gpu.rank, tb.id, peer, num_ranks));
+        }
+        if (tb.channel < 0)
+            throw Error(strprintf("MSCCL-IR: gpu %d tb %d chan %d < 0",
+                                  gpu.rank, tb.id, tb.channel));
+        for (size_t s = 0; s < tb.steps.size(); s++) {
+            const IrInstruction &instr = tb.steps[s];
+            if (instr.count < 1 || instr.splitCount < 1 ||
+                instr.splitIdx < 0 ||
+                instr.splitIdx >= instr.splitCount) {
+                throw Error(strprintf(
+                    "MSCCL-IR: gpu %d tb %d step %zu has cnt %d, "
+                    "spliti %d, splitn %d; need cnt >= 1 and "
+                    "0 <= spliti < splitn",
+                    gpu.rank, tb.id, s, instr.count, instr.splitIdx,
+                    instr.splitCount));
+            }
+        }
+    }
+    for (const IrThreadBlock &tb : gpu.threadBlocks) {
+        for (size_t s = 0; s < tb.steps.size(); s++) {
+            for (const IrDep &dep : tb.steps[s].deps) {
+                if (dep.tb < 0 || dep.tb >= num_tbs || dep.step < 0 ||
+                    dep.step >= steps_of[dep.tb]) {
+                    throw Error(strprintf(
+                        "MSCCL-IR: gpu %d tb %d step %zu depends on "
+                        "missing tb %d step %d",
+                        gpu.rank, tb.id, s, dep.tb, dep.step));
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
 IrProgram
 IrProgram::fromXml(const std::string &xml)
 {
@@ -345,6 +413,9 @@ IrProgram::fromXml(const std::string &xml)
     program.reduceOp = reduceOpFromAttr(root.attrOr("redop", "sum"));
     program.outputScale = root.hasAttr("outputscale")
         ? root.attrDouble("outputscale") : 1.0;
+    if (program.numRanks < 1)
+        throw Error(strprintf("MSCCL-IR: nranks %d < 1",
+                              program.numRanks));
     for (const XmlNode &gpu_node : root.children) {
         if (gpu_node.tag != "gpu")
             throw Error("MSCCL-IR: unexpected <" + gpu_node.tag + ">");
@@ -380,8 +451,19 @@ IrProgram::fromXml(const std::string &xml)
             }
             gpu.threadBlocks.push_back(std::move(tb));
         }
+        if (gpu.rank < 0 || gpu.rank >= program.numRanks)
+            throw Error(strprintf("MSCCL-IR: gpu id %d outside [0, %d)",
+                                  gpu.rank, program.numRanks));
+        validateGpu(gpu, program.numRanks);
         program.gpus.push_back(std::move(gpu));
     }
+    std::vector<Rank> ranks;
+    for (const IrGpu &gpu : program.gpus)
+        ranks.push_back(gpu.rank);
+    std::sort(ranks.begin(), ranks.end());
+    auto repeated = std::adjacent_find(ranks.begin(), ranks.end());
+    if (repeated != ranks.end())
+        throw Error(strprintf("MSCCL-IR: gpu id %d repeated", *repeated));
     return program;
 }
 

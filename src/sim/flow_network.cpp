@@ -244,24 +244,15 @@ FlowNetwork::startFlow(const std::vector<ResourceId> &resources,
     // Find the shards this route crosses. Several means the new flow
     // couples previously independent components: merge them.
     mergeScratch_.clear();
-    if (sharded_) {
-        for (ResourceId r : resources) {
-            int shard = resourceShard_[r];
-            if (shard >= 0)
-                mergeScratch_.push_back(shard);
-        }
-        std::sort(mergeScratch_.begin(), mergeScratch_.end());
-        mergeScratch_.erase(std::unique(mergeScratch_.begin(),
-                                        mergeScratch_.end()),
-                            mergeScratch_.end());
-    } else {
-        for (size_t s = 0; s < shards_.size(); s++) {
-            if (shards_[s].live) {
-                mergeScratch_.push_back(static_cast<int>(s));
-                break;
-            }
-        }
+    for (ResourceId r : resources) {
+        int shard = resourceShard_[r];
+        if (shard >= 0)
+            mergeScratch_.push_back(shard);
     }
+    std::sort(mergeScratch_.begin(), mergeScratch_.end());
+    mergeScratch_.erase(std::unique(mergeScratch_.begin(),
+                                    mergeScratch_.end()),
+                        mergeScratch_.end());
 
     int target;
     if (mergeScratch_.empty()) {
@@ -488,7 +479,7 @@ FlowNetwork::shardSerial(int shard)
         freeShard(shard);
         return;
     }
-    if (sharded_ && s.membershipDirty) {
+    if (s.membershipDirty) {
         partitionShard(shard);
         return;
     }

@@ -90,13 +90,6 @@ class FlowNetwork
     void setProfile(SimProfile *profile) { profile_ = profile; }
 
     /**
-     * Disables component sharding: every flow joins one global shard,
-     * reproducing the pre-sharding engine's arithmetic exactly. The
-     * benchmark's baseline mode; also a debugging aid.
-     */
-    void enableSharding(bool on) { sharded_ = on; }
-
-    /**
      * Starts a transfer of @p bytes across @p resources with a
      * per-flow cap of @p cap_gbps; @p on_done fires when the last
      * byte has drained. Fixed per-message latency is the caller's to
@@ -244,7 +237,6 @@ class FlowNetwork
     std::vector<Shard> shards_;
     std::vector<int> freeShards_;
     int activeShards_ = 0;
-    bool sharded_ = true;
 
     int threads_ = 1;
     std::unique_ptr<SimWorkerPool> pool_;

@@ -3,10 +3,14 @@
  * Tests for the structural data-race checker: compiler output must
  * always pass (races are prevented by construction, paper §5.2),
  * while hand-built IR with missing cross-thread-block dependencies
- * must be flagged with the offending pair.
+ * must be flagged with the offending pair, and every verdict and
+ * message must be the same at every worker count.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
@@ -31,10 +35,13 @@ TEST(RaceChecker, CompilerOutputIsRaceFreeByConstruction)
         compileProgram(*makeRabenseifnerAllReduce(8, config)).ir);
 }
 
-TEST(RaceChecker, DetectsMissingCrossTbDependency)
+/**
+ * Two thread blocks on one rank write the same output chunk with no
+ * ordering between them.
+ */
+IrProgram
+twoWritersIr()
 {
-    // Two thread blocks on one rank write the same output chunk with
-    // no ordering between them.
     IrProgram ir;
     ir.numRanks = 1;
     ir.gpus.resize(1);
@@ -53,6 +60,12 @@ TEST(RaceChecker, DetectsMissingCrossTbDependency)
         tb.steps.push_back(copy);
         ir.gpus[0].threadBlocks.push_back(tb);
     }
+    return ir;
+}
+
+TEST(RaceChecker, DetectsMissingCrossTbDependency)
+{
+    IrProgram ir = twoWritersIr();
     try {
         verifyRaceFree(ir);
         FAIL() << "race not detected";
@@ -169,6 +182,117 @@ TEST(RaceChecker, CyclicDependenciesRejected)
         ir.gpus[0].threadBlocks.push_back(tb);
     }
     EXPECT_THROW(verifyRaceFree(ir), VerificationError);
+}
+
+/**
+ * Runs the race check on @p ir at several thread counts and returns
+ * the common verdict ("" = race free), failing the test if any two
+ * runs disagree.
+ */
+std::string
+verdictOf(const IrProgram &ir)
+{
+    auto run = [&](int threads) -> std::string {
+        try {
+            verifyRaceFree(ir, threads);
+            return std::string();
+        } catch (const VerificationError &error) {
+            return error.what();
+        }
+    };
+    std::string expected = run(1);
+    for (int threads : { 2, 8 })
+        EXPECT_EQ(run(threads), expected) << "threads " << threads;
+    return expected;
+}
+
+TEST(Races, VerdictsOnFactorySuite)
+{
+    AlgoConfig config;
+    config.instances = 2;
+    std::vector<IrProgram> irs;
+    irs.push_back(compileProgram(*makeRingAllReduce(6, 3, config)).ir);
+    irs.push_back(compileProgram(*makeAllPairsAllReduce(6, config)).ir);
+    irs.push_back(
+        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, config)).ir);
+    irs.push_back(
+        compileProgram(*makeTwoStepAllToAll(2, 3, config)).ir);
+    irs.push_back(compileProgram(*makeAllToNext(2, 4, config)).ir);
+    irs.push_back(
+        compileProgram(*makeRabenseifnerAllReduce(8, config)).ir);
+    irs.push_back(
+        compileProgram(*makeHierarchicalAllGather(2, 4, config)).ir);
+    AlgoConfig split;
+    split.hierSplit = 2;
+    irs.push_back(
+        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, split)).ir);
+    for (size_t i = 0; i < irs.size(); i++)
+        EXPECT_EQ(verdictOf(irs[i]), "") << "program " << i;
+}
+
+TEST(Races, VerdictsAboveTheSerialThreshold)
+{
+    // Big enough (> 4096 instructions) that the per-rank checks
+    // really fan out across the worker pool.
+    AlgoConfig config;
+    config.instances = 4;
+    IrProgram ir =
+        compileProgram(*makeRingAllReduce(32, 2, config)).ir;
+    int instrs = 0;
+    for (const IrGpu &gpu : ir.gpus) {
+        for (const IrThreadBlock &tb : gpu.threadBlocks)
+            instrs += static_cast<int>(tb.steps.size());
+    }
+    EXPECT_GT(instrs, 4096);
+    EXPECT_EQ(verdictOf(ir), "");
+}
+
+TEST(Races, VerdictsOnRacyPrograms)
+{
+    // Strip every cross-thread-block dependency from a compiled
+    // hierarchical program (whose phase handoffs on a rank are
+    // ordered by deps, not FIFO edges): the verifier must flag a
+    // race, naming the same pair at every thread count.
+    AlgoConfig config;
+    config.instances = 2;
+    IrProgram ir =
+        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, config)).ir;
+    for (IrGpu &gpu : ir.gpus) {
+        for (IrThreadBlock &tb : gpu.threadBlocks) {
+            for (IrInstruction &instr : tb.steps)
+                instr.deps.clear();
+        }
+    }
+    std::string verdict = verdictOf(ir);
+    EXPECT_NE(verdict.find("data race"), std::string::npos) << verdict;
+
+    EXPECT_EQ(verdictOf(twoWritersIr()),
+              "data race: rank 0 tb 0 step 0 and tb 1 step 0 access "
+              "o[0] unordered");
+}
+
+TEST(Races, FifoImbalanceReported)
+{
+    // An unmatched send must be rejected with the connection named.
+    IrProgram ir;
+    ir.numRanks = 2;
+    ir.gpus.resize(2);
+    for (int r = 0; r < 2; r++) {
+        ir.gpus[r].rank = r;
+        ir.gpus[r].inputChunks = 1;
+        ir.gpus[r].outputChunks = 1;
+    }
+    IrThreadBlock sender;
+    sender.id = 0;
+    sender.sendPeer = 1;
+    IrInstruction send;
+    send.op = IrOp::Send;
+    send.srcBuf = BufferKind::Input;
+    sender.steps.push_back(send);
+    ir.gpus[0].threadBlocks.push_back(sender);
+    EXPECT_EQ(verdictOf(ir),
+              "race check: connection 0 -> 1 channel 0 has 1 sends "
+              "but 0 receives; FIFO pairing requires equal counts");
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "collectives/collectives.h"
 #include "common/error.h"
 #include "compiler/compiler.h"
@@ -166,6 +169,63 @@ TEST(IrXml, RejectsUnknownStructure)
                      "<step s=\"0\" type=\"xyz\" srcbuf=\"i\" "
                      "srcoff=\"0\" dstbuf=\"o\" dstoff=\"0\" "
                      "cnt=\"1\" hasdep=\"0\"/></tb></gpu></algo>"),
+                 Error);
+}
+
+/** @p xml with the first @p from replaced by @p to. */
+std::string
+mutated(const std::string &xml, const std::string &from,
+        const std::string &to)
+{
+    size_t at = xml.find(from);
+    EXPECT_NE(at, std::string::npos) << "no '" << from << "' to mutate";
+    if (at == std::string::npos)
+        return xml;
+    return xml.substr(0, at) + to + xml.substr(at + from.size());
+}
+
+TEST(IrXml, RejectsOutOfRangeStructuralIndices)
+{
+    // Compiled programs edited by hand: every structural index the
+    // runtime uses to address its per-rank and per-thread-block
+    // tables must be checked on load, not trusted.
+    AlgoConfig config;
+    config.instances = 2;
+    std::string ring =
+        compileProgram(*makeRingAllReduce(4, 2, config)).ir.toXml();
+    ASSERT_NO_THROW(IrProgram::fromXml(ring));
+    const std::pair<const char *, const char *> ring_cases[] = {
+        { "nranks=\"4\"", "nranks=\"0\"" },
+        { "<gpu id=\"3\"", "<gpu id=\"12\"" },
+        { "<gpu id=\"1\"", "<gpu id=\"0\"" },
+        { "<tb id=\"0\"", "<tb id=\"50\"" },
+        { "<tb id=\"0\"", "<tb id=\"-1\"" },
+        { "<tb id=\"1\"", "<tb id=\"0\"" },
+        { "send=\"1\"", "send=\"4\"" },
+        { "recv=\"3\"", "recv=\"-2\"" },
+        { "chan=\"0\"", "chan=\"-1\"" },
+        { "cnt=\"1\"", "cnt=\"0\"" },
+        { "splitn=\"2\"", "splitn=\"0\"" },
+        { "spliti=\"1\"", "spliti=\"2\"" },
+        { "spliti=\"0\"", "spliti=\"-1\"" },
+    };
+    for (const auto &[from, to] : ring_cases) {
+        EXPECT_THROW(IrProgram::fromXml(mutated(ring, from, to)), Error)
+            << from << " -> " << to;
+    }
+
+    std::string hier =
+        compileProgram(*makeHierarchicalAllReduce(2, 3, 2, config))
+            .ir.toXml();
+    ASSERT_NO_THROW(IrProgram::fromXml(hier));
+    EXPECT_THROW(IrProgram::fromXml(mutated(hier, "deps=\"",
+                                            "deps=\"99:0,")),
+                 Error);
+    EXPECT_THROW(IrProgram::fromXml(mutated(hier, "deps=\"",
+                                            "deps=\"0:999,")),
+                 Error);
+    EXPECT_THROW(IrProgram::fromXml(mutated(hier, "deps=\"",
+                                            "deps=\"x:0,")),
                  Error);
 }
 

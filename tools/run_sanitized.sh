@@ -5,7 +5,8 @@
 # arena and ring inboxes, the event queue's callback slots, the
 # fault/watchdog abort paths that recycle both mid-kernel, and the
 # compiler's shared paths — the plan cache's locked LRU + disk spill
-# and the parallel race verifier's per-rank thread pool — plus the
+# and the parallel race verifier's per-rank thread pool — the XML
+# reader and the structural-index checks on loaded IR (Xml), plus the
 # workload replay engine (Workload|Replay|Slo), which multiplexes
 # live executions and recovery retries over one shared fabric, and
 # the compiler passes' raw index arithmetic — the linear critical
@@ -29,8 +30,8 @@
 # sweeps (Determinism), the fault path that mutates capacities
 # between batches (Faults), the schedule search's budget-leased
 # sweep worker pool (Search, SimThreadLease), and the race verifier's
-# lock-free union-find contraction plus its differential engine
-# sweeps (UnionFind, Hierarchical). TSan runs export
+# threaded per-rank driver across worker counts (Races,
+# Hierarchical). TSan runs export
 # MSCCLANG_SIM_THREADS_UNCAPPED=1 so the worker pools spin real
 # threads — and real interleavings — even on a small CI host where
 # the hardware-concurrency cap would otherwise collapse every pool
@@ -54,11 +55,11 @@ fi
 if [[ "$TSAN" == "1" ]]; then
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     SANITIZE_FLAG="-DMSCCLANG_TSAN=ON"
-    FILTER="${1:-Sim|Interp|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|UnionFind}"
+    FILTER="${1:-Sim|Interp|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|Races}"
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|UnionFind|ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|Xml|ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -66,7 +67,7 @@ cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
 cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
-    test_unionfind test_compiler test_schedule test_instr_graph \
+    test_xml test_compiler test_schedule test_instr_graph \
     -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
