@@ -516,8 +516,7 @@ struct GatePlan
  */
 std::vector<int>
 topoSweep(const LiveGraph &live, const std::vector<int> &by_priority,
-          const std::vector<int> &position, const GatePlan &plan,
-          int slots)
+          const std::vector<int> &position, const GatePlan &plan)
 {
     int n = live.size();
     std::vector<int> remaining(n);
@@ -539,9 +538,10 @@ topoSweep(const LiveGraph &live, const std::vector<int> &by_priority,
     // Slot accounting (paper §6.1: the compiler must not emit
     // schedules with more than s outstanding sends). The emitted
     // order acts as a witness execution: a send is gated until fewer
-    // than `slots` of its connection's sends are unreceived at this
-    // point of the order, so the runtime can always follow the
-    // schedule without wedging on FIFO backpressure.
+    // than kFifoSlotsPerConnection (the depth every protocol provides
+    // and the verifier assumes) of its connection's sends are
+    // unreceived at this point of the order, so the runtime can
+    // always follow the schedule without wedging on FIFO backpressure.
     std::vector<int> outstanding(plan.numConns, 0);
     std::vector<std::vector<int>> slot_blocked(plan.numConns);
 
@@ -574,7 +574,7 @@ topoSweep(const LiveGraph &live, const std::vector<int> &by_priority,
 
         // Slot gate: sending with all FIFO slots full would wedge.
         if (send_conn >= 0) {
-            if (outstanding[send_conn] >= slots) {
+            if (outstanding[send_conn] >= kFifoSlotsPerConnection) {
                 slot_blocked[send_conn].push_back(v);
                 continue;
             }
@@ -668,7 +668,7 @@ priorityOrder(const std::vector<int> &depth, const std::vector<int> &rdepth)
 /** Greedy priority topological assignment (paper §5.2, steps 1-4). */
 Placement
 assignInstructions(InstrGraph &graph, const LiveGraph &live,
-                   std::vector<RankTbs> &ranks, int slots)
+                   std::vector<RankTbs> &ranks)
 {
     int n = live.size();
     Placement at;
@@ -743,7 +743,7 @@ assignInstructions(InstrGraph &graph, const LiveGraph &live,
     // both ends of every connection so the k-th receive always pairs
     // with the k-th send.
     std::vector<int> order =
-        topoSweep(live, by_priority, position, plan, slots);
+        topoSweep(live, by_priority, position, plan);
 
     long sequence = 0;
     at.step.assign(n, -1);
@@ -881,8 +881,7 @@ scheduleProgram(const Program &program, InstrGraph &graph,
     // The graph's edges are final from here on; the sweeps and the
     // dependency pass run over one compact snapshot of it.
     LiveGraph live(graph);
-    Placement at =
-        assignInstructions(graph, live, ranks, std::max(1, options.slots));
+    Placement at = assignInstructions(graph, live, ranks);
     CrossTbDeps deps = insertCrossTbDeps(live, at);
 
     const Collective &coll = program.collective();

@@ -36,12 +36,6 @@ struct ScheduleOptions
      * NCCL sharing channels under SM pressure.
      */
     const Topology *topology = nullptr;
-    /**
-     * FIFO slot count the emitted schedule must be executable with
-     * (paper §6.1: 1 <= s <= 8; every protocol provides at least
-     * this many slots).
-     */
-    int slots = 8;
 };
 
 /**

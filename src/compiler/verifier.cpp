@@ -1,10 +1,8 @@
 #include "compiler/verifier.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -14,6 +12,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "compiler/frac.h"
+#include "sim/worker_pool.h"
 
 namespace mscclang {
 
@@ -934,10 +933,11 @@ resolveThreads(int threads)
 }
 
 /**
- * Per-rank parallel driver: ranks with conflict candidates drain
- * from a shared work list, and the lowest failing rank's message
- * wins, matching the serial whole-map sweep that visited locations
- * in (rank, buffer, chunk) order.
+ * Per-rank parallel driver: ranks with conflict candidates fan out
+ * over the simulation worker pool (capped at hardware concurrency),
+ * and the lowest failing rank's message wins, matching the serial
+ * whole-map sweep that visited locations in (rank, buffer, chunk)
+ * order.
  */
 template <typename CheckRank>
 void
@@ -955,37 +955,9 @@ driveRankChecks(const HbGraph &g,
     // Small programs aren't worth the thread spawns.
     if (g.n() < 4096)
         resolved = 1;
-
-    std::atomic<size_t> next{ 0 };
-    std::exception_ptr first_error;
-    std::mutex error_mu;
-    auto drain = [&]() {
-        for (;;) {
-            size_t w = next.fetch_add(1);
-            if (w >= work.size())
-                return;
-            try {
-                errors[work[w]] = check_rank(rank_accesses[work[w]]);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mu);
-                if (!first_error)
-                    first_error = std::current_exception();
-                return;
-            }
-        }
-    };
-    if (resolved > 1) {
-        std::vector<std::thread> pool;
-        pool.reserve(resolved);
-        for (int t = 0; t < resolved; t++)
-            pool.emplace_back(drain);
-        for (std::thread &t : pool)
-            t.join();
-    } else {
-        drain();
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
+    SimWorkerPool(resolved).forEach(work.size(), [&](std::size_t w) {
+        errors[work[w]] = check_rank(rank_accesses[work[w]]);
+    });
     for (int r = 0; r < g.numRanks; r++) {
         if (!errors[r].empty())
             throw VerificationError(errors[r]);

@@ -67,11 +67,13 @@ void verifyIr(const IrProgram &ir, const Collective &collective,
  * (bitset columns restricted to the candidate set, propagated over
  * the happens-before graph in topological order); ranks with no
  * cross-thread-block conflict pairs are skipped outright, and the
- * per-rank checks run on a small thread pool for large programs.
+ * per-rank checks run on the simulation worker pool for large
+ * programs.
  * The lowest failing rank's message wins, so verdicts and error
  * messages are identical for every thread count.
  *
- * @param threads worker count for the per-rank checks; 0 picks a
+ * @param threads worker count for the per-rank checks, capped at
+ *        hardware concurrency like every SimWorkerPool; 0 picks a
  *        hardware-sized default, 1 forces the serial path.
  * @throws VerificationError naming the first unordered conflict.
  */

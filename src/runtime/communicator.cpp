@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
+#include "runtime/recovery.h"
 
 namespace mscclang {
 
@@ -25,20 +26,6 @@ int
 saturatingIncrement(int count)
 {
     return count < INT_MAX ? count + 1 : INT_MAX;
-}
-
-const char *
-planSourceName(PlanSource source)
-{
-    switch (source) {
-      case PlanSource::Window:
-        return "window";
-      case PlanSource::Replan:
-        return "replan";
-      case PlanSource::Fallback:
-        return "fallback";
-    }
-    return "?";
 }
 
 namespace {
@@ -121,8 +108,9 @@ Communicator::registerAlgorithm(IrProgram ir, std::uint64_t min_bytes,
     if (min_bytes > max_bytes)
         throw RuntimeError("registerAlgorithm: empty size window");
     std::vector<Link> links = programLinks(ir);
-    algorithms_.push_back(Registered{ std::move(ir), min_bytes,
-                                      max_bytes, std::move(links) });
+    algorithms_.push_back(
+        Registered{ std::make_shared<const IrProgram>(std::move(ir)),
+                    min_bytes, max_bytes, std::move(links) });
 }
 
 void
@@ -131,7 +119,7 @@ Communicator::clearAlgorithms(const std::string &collective)
     algorithms_.erase(
         std::remove_if(algorithms_.begin(), algorithms_.end(),
                        [&](const Registered &entry) {
-                           return entry.ir.collective == collective;
+                           return entry.ir->collective == collective;
                        }),
         algorithms_.end());
 }
@@ -154,9 +142,9 @@ Communicator::registerReplanner(
     replanners_[collective] = std::move(factory);
 }
 
-const Communicator::Registered *
-Communicator::selectWindow(const std::string &collective,
-                           std::uint64_t bytes) const
+std::shared_ptr<const IrProgram>
+Communicator::windowProgram(const std::string &collective,
+                            std::uint64_t bytes) const
 {
     // Both window bounds are inclusive (bytes == maxBytes matches).
     // Overlaps resolve to the largest minBytes; ties to the latest
@@ -165,7 +153,7 @@ Communicator::selectWindow(const std::string &collective,
     const std::vector<Link> quarantine = health_.quarantined();
     const Registered *best = nullptr;
     for (const Registered &entry : algorithms_) {
-        if (entry.ir.collective != collective ||
+        if (entry.ir->collective != collective ||
             bytes < entry.minBytes || bytes > entry.maxBytes) {
             continue;
         }
@@ -176,10 +164,10 @@ Communicator::selectWindow(const std::string &collective,
         if (best == nullptr || entry.minBytes >= best->minBytes)
             best = &entry;
     }
-    return best;
+    return best != nullptr ? best->ir : nullptr;
 }
 
-const IrProgram *
+std::shared_ptr<const IrProgram>
 Communicator::replanProgram(const std::string &collective,
                             const std::vector<Link> &quarantine,
                             std::uint64_t bytes)
@@ -192,7 +180,7 @@ Communicator::replanProgram(const std::string &collective,
     std::string memo_key = collective + "|" + linkSetName(quarantine);
     auto memo = replanMemo_.find(memo_key);
     if (memo != replanMemo_.end())
-        return &replanIr_.at(memo->second);
+        return replanIr_.at(memo->second);
 
     Topology degraded = topology_.degraded(quarantine);
     std::unique_ptr<Program> plan;
@@ -219,7 +207,7 @@ Communicator::replanProgram(const std::string &collective,
     auto known = replanIr_.find(content_key);
     if (known != replanIr_.end()) {
         replanMemo_.emplace(memo_key, content_key);
-        return &known->second;
+        return known->second;
     }
     IrProgram ir;
     try {
@@ -228,9 +216,20 @@ Communicator::replanProgram(const std::string &collective,
         return nullptr;
     }
     replanCompiles_++;
-    auto [pos, inserted] = replanIr_.emplace(content_key, std::move(ir));
+    auto [pos, inserted] = replanIr_.emplace(
+        content_key, std::make_shared<const IrProgram>(std::move(ir)));
     replanMemo_.emplace(memo_key, content_key);
-    return &pos->second;
+    return pos->second;
+}
+
+std::shared_ptr<const IrProgram>
+Communicator::fallbackProgram(const std::string &collective,
+                              std::uint64_t bytes) const
+{
+    auto fallback = fallbacks_.find(collective);
+    if (fallback == fallbacks_.end())
+        return nullptr;
+    return std::make_shared<const IrProgram>(fallback->second(bytes));
 }
 
 void
@@ -244,123 +243,29 @@ Communicator::syncQuarantine()
         retuneHook_(lastQuarantine_);
 }
 
-PlanChoice
-Communicator::selectPlan(const std::string &collective,
-                         std::uint64_t bytes)
-{
-    // A registered window avoiding the quarantine, then the replan
-    // cache (links already out of service), then the fallback.
-    PlanChoice choice;
-    const Registered *picked = selectWindow(collective, bytes);
-    if (picked != nullptr) {
-        choice.program = &picked->ir;
-        choice.source = PlanSource::Window;
-        return choice;
-    }
-    choice.program =
-        replanProgram(collective, health_.quarantined(), bytes);
-    choice.source = PlanSource::Replan;
-    if (choice.program != nullptr)
-        return choice;
-    auto fallback = fallbacks_.find(collective);
-    if (fallback == fallbacks_.end()) {
-        throw RuntimeError("no algorithm or fallback registered "
-                           "for '" + collective + "' at " +
-                           formatBytes(bytes));
-    }
-    choice.owned = std::make_shared<const IrProgram>(
-        fallback->second(bytes));
-    choice.program = choice.owned.get();
-    choice.source = PlanSource::Fallback;
-    return choice;
-}
-
-RecoveryDecision
-Communicator::decideRecovery(const std::string &collective,
-                             std::uint64_t bytes)
-{
-    RecoveryDecision decision;
-
-    // Conclusive evidence (the quarantine grew) abandons the current
-    // plan: first a registered window that avoids the quarantined
-    // links (possibly freshly re-tuned by the hook), then a verified
-    // recompile on the degraded topology, then the blind fallback.
-    // Transient evidence (stall/degrade below the threshold) retries
-    // the same plan after a bounded deterministic backoff until the
-    // budget is spent.
-    bool quarantine_changed = health_.quarantined() != lastQuarantine_;
-    if (quarantine_changed) {
-        syncQuarantine(); // fires the retune hook
-        const Registered *rewin = selectWindow(collective, bytes);
-        if (rewin != nullptr) {
-            decision.action = RecoveryAction::Switch;
-            decision.plan.program = &rewin->ir;
-            decision.plan.source = PlanSource::Window;
-            return decision;
-        }
-        const IrProgram *replan =
-            replanProgram(collective, lastQuarantine_, bytes);
-        if (replan != nullptr) {
-            decision.action = RecoveryAction::Switch;
-            decision.plan.program = replan;
-            decision.plan.source = PlanSource::Replan;
-            return decision;
-        }
-    } else if (!health_.transientBudgetSpent()) {
-        decision.action = RecoveryAction::Backoff;
-        decision.backoffUs = health_.nextBackoffUs();
-        return decision;
-    }
-    auto fallback = fallbacks_.find(collective);
-    if (fallback == fallbacks_.end()) {
-        decision.action = RecoveryAction::GiveUp;
-        return decision;
-    }
-    decision.action = RecoveryAction::Switch;
-    decision.plan.owned =
-        std::make_shared<const IrProgram>(fallback->second(bytes));
-    decision.plan.program = decision.plan.owned.get();
-    decision.plan.source = PlanSource::Fallback;
-    return decision;
-}
-
 RunResult
 Communicator::run(const std::string &collective,
                   const RunOptions &options)
 {
-    health_.beginRun();
+    Recovery recovery(*this, collective, options.bytes,
+                      options.maxAttempts,
+                      options.dataMode ? &store_ : nullptr);
 
-    PlanChoice choice = selectPlan(collective, options.bytes);
-
-    // Attempt loop. Fault events are transient: the working copy of
-    // the schedule drops events an aborted attempt already fired, so
-    // the retry replays only the remaining script — deterministic,
-    // and a mid-kernel link-down does not re-kill the recovery plan.
+    // Fault events are transient: the working copy of the schedule
+    // drops events an aborted attempt already fired, so each retry
+    // restarts on a fresh machine armed with only the remaining
+    // script — deterministic, and a mid-kernel link-down does not
+    // re-kill the recovery plan.
     FaultSchedule working = topology_.faultSchedule();
     sortByTimestamp(working);
 
-    // Progress-aware recovery: only a program that mutates its input
-    // needs the snapshot/rollback machinery. Copy-only collectives
-    // (allgather, broadcast, alltoall) leave their inputs intact, so
-    // an aborted attempt is repaired by simply running again.
-    DataStore::Snapshot snapshot;
-    bool have_snapshot = false;
-    bool rolled_back = false;
-
-    int attempts = 0;
     int faults_total = 0;
     double total_time = 0.0;
-    double backoff_total = 0.0;
-    int max_attempts = std::max(1, options.maxAttempts);
     for (;;) {
-        if (options.dataMode && !have_snapshot &&
-            choice.program->mutatesInput()) {
-            snapshot = store_.snapshot();
-            have_snapshot = true;
-        }
-        attempts = saturatingIncrement(attempts);
+        recovery.snapshotInput();
+        recovery.beginAttempt();
         RunResult result =
-            runAttempt(*choice.program, options, &working);
+            runAttempt(recovery.plan(), options, &working);
         faults_total += result.stats.faultsSeen;
         total_time = saturatingAddUs(total_time, result.timeUs);
 
@@ -373,29 +278,22 @@ Communicator::run(const std::string &collective,
             }
         }
 
-        if (!result.stats.aborted) {
-            health_.noteSuccess(programLinks(*choice.program));
-            result.attempts = attempts;
+        switch (recovery.endAttempt(result.stats)) {
+          case AttemptEnd::Completed:
+            result.algorithm = recovery.algorithm();
+            result.attempts = recovery.attempts();
             result.faultsSeen = faults_total;
-            result.degraded = attempts > 1;
+            result.degraded = recovery.attempts() > 1;
             result.recoveredViaReplan =
-                choice.source == PlanSource::Replan;
-            result.backoffUs = backoff_total;
+                recovery.source() == PlanSource::Replan;
+            result.backoffUs = recovery.backoffUs();
             result.totalTimeUs =
-                saturatingAddUs(total_time, backoff_total);
-            result.rolledBack = rolled_back;
-            if (choice.source == PlanSource::Fallback)
-                result.algorithm += " (fallback)";
-            else if (choice.source == PlanSource::Replan)
-                result.algorithm += " (replan)";
+                saturatingAddUs(total_time, recovery.backoffUs());
+            result.rolledBack = recovery.rolledBack();
             syncQuarantine();
             result.quarantinedLinks = lastQuarantine_;
             return result;
-        }
-
-        // Abort: attribute the blocked thread blocks to their links.
-        health_.noteBlocked(result.stats.blockedLinks);
-        if (attempts >= max_attempts) {
+          case AttemptEnd::Exhausted:
             // The distinct budget-exhausted spelling keeps "ran out
             // of attempts" tellable apart from "no recovery route"
             // in logs and workload availability reports.
@@ -403,31 +301,19 @@ Communicator::run(const std::string &collective,
                 "retry budget exhausted: run '%s' at %s aborted "
                 "after %d attempt(s) (%d fault(s) seen): %s",
                 collective.c_str(),
-                formatBytes(options.bytes).c_str(), attempts,
-                faults_total, result.stats.abortReason.c_str()));
-        }
-        consumeFired(working, result.stats.firedFaults);
-        if (options.dataMode && have_snapshot) {
-            store_.restore(snapshot);
-            rolled_back = true;
-        }
-
-        RecoveryDecision decision =
-            decideRecovery(collective, options.bytes);
-        switch (decision.action) {
-          case RecoveryAction::Backoff:
-            backoff_total =
-                saturatingAddUs(backoff_total, decision.backoffUs);
-            continue;
-          case RecoveryAction::Switch:
-            choice = std::move(decision.plan);
-            continue;
-          case RecoveryAction::GiveUp:
+                formatBytes(options.bytes).c_str(),
+                recovery.attempts(), faults_total,
+                result.stats.abortReason.c_str()));
+          case AttemptEnd::GiveUp:
             throw RuntimeError(strprintf(
                 "run '%s' at %s aborted and no recovery plan or "
                 "fallback is registered: %s", collective.c_str(),
                 formatBytes(options.bytes).c_str(),
                 result.stats.abortReason.c_str()));
+          case AttemptEnd::Backoff:
+          case AttemptEnd::Switch:
+            consumeFired(working, result.stats.firedFaults);
+            break;
         }
     }
 }

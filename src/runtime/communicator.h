@@ -22,7 +22,9 @@
  * abandoning it. Recovery is progress-aware: only programs that
  * mutate their input (in-place reductions) pay for a DataStore
  * snapshot and rollback; copy-only collectives (allgather,
- * broadcast, alltoall) are simply re-executed.
+ * broadcast, alltoall) are simply re-executed. That policy lives in
+ * one place, Recovery (runtime/recovery.h), which both run() and the
+ * workload replayer drive.
  */
 
 #ifndef MSCCLANG_RUNTIME_COMMUNICATOR_H_
@@ -95,47 +97,6 @@ double saturatingAddUs(double a, double b);
 
 /** @p count + 1 without wrapping past INT_MAX. */
 int saturatingIncrement(int count);
-
-/** Where a plan served by the communicator came from. */
-enum class PlanSource {
-    Window,   ///< a registered algorithm window
-    Replan,   ///< a recompiled degraded-topology plan
-    Fallback, ///< the registered fallback (the paper's NCCL role)
-};
-
-/** Returns a short human-readable name ("window", ...). */
-const char *planSourceName(PlanSource source);
-
-/**
- * A selected plan plus its provenance. Window and replan programs
- * point into communicator-owned storage (stable for the
- * communicator's lifetime unless the window table is re-registered);
- * fallback programs are owned by the choice itself.
- */
-struct PlanChoice
-{
-    const IrProgram *program = nullptr;
-    PlanSource source = PlanSource::Window;
-    /** Owns the program when source == Fallback. */
-    std::shared_ptr<const IrProgram> owned;
-};
-
-/** What to do after an aborted attempt (see decideRecovery). */
-enum class RecoveryAction {
-    Backoff, ///< retry the same plan after backoffUs
-    Switch,  ///< run decision.plan instead
-    GiveUp,  ///< no recovery route remains
-};
-
-/** The recovery route chosen after an aborted attempt. */
-struct RecoveryDecision
-{
-    RecoveryAction action = RecoveryAction::GiveUp;
-    /** Backoff to charge before the retry (Backoff only). */
-    double backoffUs = 0.0;
-    /** The replacement plan (Switch only). */
-    PlanChoice plan;
-};
 
 /** Result of one collective invocation. */
 struct RunResult
@@ -237,35 +198,6 @@ class Communicator
     int replanCompiles() const { return replanCompiles_; }
 
     /**
-     * The plan run() would launch for @p collective at @p bytes right
-     * now: a registered window avoiding the quarantine, else a
-     * compiled degraded-topology replan, else the fallback. Public so
-     * external drivers that multiplex many collectives onto one
-     * shared fabric (the workload replay engine) select through the
-     * exact cascade run() uses.
-     * @throws RuntimeError when nothing matches.
-     */
-    PlanChoice selectPlan(const std::string &collective,
-                          std::uint64_t bytes);
-
-    /**
-     * The recovery route run() takes after an aborted attempt,
-     * assuming the health monitor has already been fed the abort's
-     * evidence (noteFault / noteBlocked): conclusive evidence (the
-     * quarantine grew) switches to a window avoiding the quarantined
-     * links, else a verified degraded-topology replan, else the
-     * fallback; transient evidence retries the same plan after a
-     * deterministic bounded backoff until the budget is spent, then
-     * falls back. Fires the retune hook when the quarantine changed.
-     * A Backoff decision advances the monitor's backoff streak and
-     * RNG; callers must charge the returned backoffUs. Shared by
-     * run() and the workload replay engine so both recover
-     * identically.
-     */
-    RecoveryDecision decideRecovery(const std::string &collective,
-                                    std::uint64_t bytes);
-
-    /**
      * Installs the hook invoked whenever the quarantined-link set
      * changes (grows on fresh evidence, shrinks when links start
      * probing). The tuner uses it to invalidate and re-tune its
@@ -322,12 +254,18 @@ class Communicator
                           const RunOptions &options);
 
   private:
+    /** The per-invocation attempt state machine (runtime/recovery.h)
+     *  selects through the cascade below and feeds health_. */
+    friend class Recovery;
+
     struct Registered
     {
-        IrProgram ir;
+        /** Shared so an attempt in flight keeps its plan alive when
+         *  the retune hook re-registers the windows. */
+        std::shared_ptr<const IrProgram> ir;
         std::uint64_t minBytes;
         std::uint64_t maxBytes;
-        /** programLinks(ir), cached for quarantine filtering. */
+        /** programLinks(*ir), cached for quarantine filtering. */
         std::vector<Link> links;
     };
 
@@ -337,19 +275,25 @@ class Communicator
 
     /** The window winning at @p bytes among those avoiding the
      *  current quarantine, or null (see registerAlgorithm). */
-    const Registered *selectWindow(const std::string &collective,
-                                   std::uint64_t bytes) const;
+    std::shared_ptr<const IrProgram>
+    windowProgram(const std::string &collective,
+                  std::uint64_t bytes) const;
 
     /**
-     * The compiled degraded-topology plan for the current
-     * quarantine, from cache or a fresh compile+verify; null when no
-     * replanner is registered, the replanner finds no plan, or the
-     * plan fails to compile/verify. The returned pointer stays valid
-     * for the communicator's lifetime (map-backed cache).
+     * The compiled degraded-topology plan for @p quarantine, from
+     * cache or a fresh compile+verify; null when the quarantine is
+     * empty, no replanner is registered, the replanner finds no plan,
+     * or the plan fails to compile/verify.
      */
-    const IrProgram *replanProgram(const std::string &collective,
-                                   const std::vector<Link> &quarantine,
-                                   std::uint64_t bytes);
+    std::shared_ptr<const IrProgram>
+    replanProgram(const std::string &collective,
+                  const std::vector<Link> &quarantine,
+                  std::uint64_t bytes);
+
+    /** A fresh fallback program, or null if none is registered. */
+    std::shared_ptr<const IrProgram>
+    fallbackProgram(const std::string &collective,
+                    std::uint64_t bytes) const;
 
     /** Fires the retune hook if the quarantine set changed. */
     void syncQuarantine();
@@ -369,10 +313,8 @@ class Communicator
      *  sets often trace the same repair plan; memoizing through the
      *  content key lets them share one compiled IR. */
     std::map<std::string, std::uint64_t> replanMemo_;
-    /** Content key → compiled+verified repair plan. A node-based map
-     *  keeps the IrProgram pointers handed out by replanProgram()
-     *  stable while later replans insert. */
-    std::map<std::uint64_t, IrProgram> replanIr_;
+    /** Content key → compiled+verified repair plan. */
+    std::map<std::uint64_t, std::shared_ptr<const IrProgram>> replanIr_;
     int replanCompiles_ = 0;
     std::function<void(const std::vector<Link> &)> retuneHook_;
     /** Quarantine set at the last syncQuarantine(). */

@@ -1,9 +1,6 @@
 #include "runtime/tuner.h"
 
-#include <atomic>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <thread>
 
 #include "common/error.h"
@@ -82,10 +79,9 @@ sweepCandidateTimesUs(const Topology &topology,
         throw RuntimeError("sweepCandidateTimesUs: empty sweep");
 
     // The sweep points are independent simulations on an immutable
-    // topology: fan them out over a worker pool. Workers claim
-    // points off a shared counter and each writes only its own
-    // matrix cell, so the filled matrix — and every window derived
-    // from it — is the same for any thread count.
+    // topology: fan them out over a worker pool. Each point writes
+    // only its own matrix cell, so the filled matrix — and every
+    // window derived from it — is the same for any thread count.
     std::vector<double> time_us(candidates.size() * sizes.size(), 0.0);
     size_t points = time_us.size();
 
@@ -130,41 +126,9 @@ sweepCandidateTimesUs(const Topology &topology,
         time_us[point] = stats.durationUs();
     };
 
-    if (workers <= 1) {
-        for (size_t p = 0; p < points; p++)
-            simulate(p);
-    } else {
-        std::atomic<size_t> next{ 0 };
-        std::exception_ptr error;
-        std::mutex error_mutex;
-        auto drain = [&] {
-            for (;;) {
-                size_t p =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (p >= points)
-                    return;
-                try {
-                    simulate(p);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!error)
-                        error = std::current_exception();
-                    return;
-                }
-            }
-        };
-        // The caller is one of the workers: only workers-1 threads
-        // are spawned, matching the budget lease's accounting.
-        std::vector<std::thread> pool;
-        pool.reserve(workers - 1);
-        for (size_t w = 1; w < workers; w++)
-            pool.emplace_back(drain);
-        drain();
-        for (std::thread &worker : pool)
-            worker.join();
-        if (error)
-            std::rethrow_exception(error);
-    }
+    // The caller is one of the lanes: the pool spawns workers-1
+    // threads, matching the budget lease's accounting.
+    SimWorkerPool(static_cast<int>(workers)).forEach(points, simulate);
 
     std::vector<std::vector<double>> matrix(candidates.size());
     for (size_t c = 0; c < candidates.size(); c++) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 
 #include "collectives/collectives.h"
@@ -10,6 +11,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
+#include "runtime/recovery.h"
 #include "sim/event_queue.h"
 #include "sim/flow_network.h"
 
@@ -55,17 +57,12 @@ struct OpState
     std::vector<int> dependents;
     bool dispatched = false;
     bool resolved = false;
-    /** The plan the current attempt runs (a private copy: the retune
-     *  hook may re-register windows mid-replay). */
-    std::shared_ptr<const IrProgram> plan;
-    PlanSource source = PlanSource::Window;
-    int attempts = 0;
+    /** The op's plan, attempts and recovery; set at dispatch. */
+    std::optional<Recovery> recovery;
     /** network.faultsFired() at dispatch: the base of this op's
-     *  per-run-timeline fault window (satellite: overlapping ops
-     *  both observe a shared fault; nothing is globally consumed). */
+     *  per-run-timeline fault window (overlapping ops both observe
+     *  a shared fault; nothing is globally consumed). */
     int firedBase = 0;
-    DataStore::Snapshot snapshot;
-    bool haveSnapshot = false;
     OpRecord record;
 };
 
@@ -114,14 +111,7 @@ class Replayer
             OpState &st = states_[id];
             if (st.resolved)
                 continue;
-            st.resolved = true;
-            st.record.doneUs = nowUs();
-            st.record.latencyUs =
-                std::max(0.0, st.record.doneUs - st.record.issueUs);
-            st.record.attempts = st.attempts;
-            st.record.faultsSeen =
-                st.dispatched ? network_.faultsFired() - st.firedBase
-                              : 0;
+            close(st);
             st.record.failReason =
                 st.dispatched ? "wedged" : "never dispatched";
         }
@@ -194,8 +184,10 @@ class Replayer
         std::set<std::string> checked;
         for (const WorkloadStream &stream : spec_.streams) {
             for (const WorkloadOp &op : stream.ops) {
-                if (checked.insert(op.collective).second)
-                    comm_.selectPlan(op.collective, op.bytes);
+                if (checked.insert(op.collective).second) {
+                    Recovery(comm_, op.collective, op.bytes, 1, nullptr,
+                             /*healing=*/false);
+                }
             }
         }
     }
@@ -209,33 +201,22 @@ class Replayer
     }
 
     void
-    adoptPlan(OpState &st, const PlanChoice &choice)
-    {
-        st.plan = choice.owned != nullptr
-                      ? choice.owned
-                      : std::make_shared<const IrProgram>(
-                            *choice.program);
-        st.source = choice.source;
-    }
-
-    void
     dispatch(int id)
     {
         OpState &st = states_[id];
         st.dispatched = true;
         st.record.startUs = nowUs();
         st.firedBase = network_.faultsFired();
-        if (options_.selfHealing)
-            comm_.health().beginRun();
-        PlanChoice choice;
         try {
-            choice =
-                comm_.selectPlan(st.spec->collective, st.spec->bytes);
+            st.recovery.emplace(
+                comm_, st.spec->collective, st.spec->bytes,
+                options_.maxAttempts,
+                options_.dataMode ? &stores_[st.stream] : nullptr,
+                options_.selfHealing, options_.blindBackoffUs);
         } catch (const Error &error) {
             fail(id, std::string("no plan: ") + error.what());
             return;
         }
-        adoptPlan(st, choice);
         beginAttempt(id);
     }
 
@@ -243,23 +224,21 @@ class Replayer
     beginAttempt(int id)
     {
         OpState &st = states_[id];
-        st.attempts = saturatingIncrement(st.attempts);
+        Recovery &recovery = *st.recovery;
+        recovery.beginAttempt();
 
         DataStore *data = nullptr;
         if (options_.dataMode) {
             DataStore &store = stores_[st.stream];
             try {
-                store.configure(*st.plan, st.spec->bytes);
+                store.configure(recovery.plan(), st.spec->bytes);
             } catch (const Error &error) {
                 fail(id, std::string("store: ") + error.what());
                 return;
             }
-            if (st.attempts == 1)
+            if (recovery.attempts() == 1)
                 fillInput(store, id);
-            if (!st.haveSnapshot && st.plan->mutatesInput()) {
-                st.snapshot = store.snapshot();
-                st.haveSnapshot = true;
-            }
+            recovery.snapshotInput();
             data = &store;
         }
 
@@ -278,7 +257,7 @@ class Replayer
         // Executions stay alive until the fabric drains: an aborted
         // kernel's frozen flows still hold callbacks into it.
         executions_.push_back(std::make_unique<IrExecution>(
-            topology_, *st.plan, events_, network_, exec, data));
+            topology_, recovery.plan(), events_, network_, exec, data));
         executions_.back()->start([this, id](const ExecStats &stats) {
             onAttemptDone(id, stats);
         });
@@ -315,77 +294,37 @@ class Replayer
     onAttemptDone(int id, const ExecStats &stats)
     {
         OpState &st = states_[id];
-        if (options_.selfHealing) {
+        Recovery &recovery = *st.recovery;
+        if (options_.selfHealing)
             feedHealth();
-            if (stats.aborted)
-                comm_.health().noteBlocked(stats.blockedLinks);
-            else
-                comm_.health().noteSuccess(programLinks(*st.plan));
-        }
-
-        if (!stats.aborted) {
-            st.record.algorithm = st.plan->name;
-            if (st.source == PlanSource::Fallback)
-                st.record.algorithm += " (fallback)";
-            else if (st.source == PlanSource::Replan)
-                st.record.algorithm += " (replan)";
-            st.record.replanned = st.source == PlanSource::Replan;
-            st.record.fellBack = st.source == PlanSource::Fallback;
+        switch (recovery.endAttempt(stats)) {
+          case AttemptEnd::Completed:
+            st.record.algorithm = recovery.algorithm();
+            st.record.replanned = recovery.source() == PlanSource::Replan;
+            st.record.fellBack = recovery.source() == PlanSource::Fallback;
             st.record.completed = true;
             resolve(id);
-            if (options_.selfHealing)
-                trackQuarantine();
-            return;
-        }
-
-        if (st.attempts >= std::max(1, options_.maxAttempts)) {
+            break;
+          case AttemptEnd::Exhausted:
             // The distinct spelling Communicator::run uses for the
             // same terminal condition, so availability reports can
             // tell budget exhaustion from "no recovery route".
-            fail(id,
-                 "retry budget exhausted: " + stats.abortReason);
-            if (options_.selfHealing)
-                trackQuarantine();
-            return;
-        }
-
-        if (options_.dataMode && st.haveSnapshot) {
-            stores_[st.stream].restore(st.snapshot);
-            st.record.rolledBack = true;
-        }
-
-        if (!options_.selfHealing) {
-            // Control arm: no monitor, no replanning — the same plan
-            // retries after a fixed escalating backoff.
-            double backoff = options_.blindBackoffUs * st.attempts;
-            st.record.backoffs++;
-            st.record.backoffUs =
-                saturatingAddUs(st.record.backoffUs, backoff);
-            events_.scheduleAfter(usToNs(backoff),
-                                  [this, id] { beginAttempt(id); });
-            return;
-        }
-
-        RecoveryDecision decision =
-            comm_.decideRecovery(st.spec->collective, st.spec->bytes);
-        switch (decision.action) {
-          case RecoveryAction::Backoff:
-            st.record.backoffs++;
-            st.record.backoffUs = saturatingAddUs(st.record.backoffUs,
-                                                  decision.backoffUs);
-            events_.scheduleAfter(usToNs(decision.backoffUs),
+            fail(id, "retry budget exhausted: " + stats.abortReason);
+            break;
+          case AttemptEnd::Backoff:
+            events_.scheduleAfter(usToNs(recovery.retryDelayUs()),
                                   [this, id] { beginAttempt(id); });
             break;
-          case RecoveryAction::Switch:
-            adoptPlan(st, decision.plan);
+          case AttemptEnd::Switch:
             beginAttempt(id);
             break;
-          case RecoveryAction::GiveUp:
+          case AttemptEnd::GiveUp:
             fail(id,
                  "no recovery plan or fallback: " + stats.abortReason);
             break;
         }
-        trackQuarantine();
+        if (options_.selfHealing)
+            trackQuarantine();
     }
 
     void
@@ -393,21 +332,34 @@ class Replayer
     {
         OpState &st = states_[id];
         st.record.failReason = std::move(reason);
-        if (st.plan != nullptr && st.record.algorithm.empty())
-            st.record.algorithm = st.plan->name;
+        if (st.recovery && st.record.algorithm.empty())
+            st.record.algorithm = st.recovery->plan().name;
         resolve(id);
+    }
+
+    /** Stamps resolution time and recovery counters on the record. */
+    void
+    close(OpState &st)
+    {
+        st.resolved = true;
+        st.record.doneUs = nowUs();
+        st.record.latencyUs =
+            std::max(0.0, st.record.doneUs - st.record.issueUs);
+        st.record.faultsSeen =
+            st.dispatched ? network_.faultsFired() - st.firedBase : 0;
+        st.record.attempts = st.recovery ? st.recovery->attempts() : 0;
+        if (st.recovery) {
+            st.record.backoffs = st.recovery->backoffs();
+            st.record.backoffUs = st.recovery->backoffUs();
+            st.record.rolledBack = st.recovery->rolledBack();
+        }
     }
 
     void
     resolve(int id)
     {
         OpState &st = states_[id];
-        st.resolved = true;
-        st.record.doneUs = nowUs();
-        st.record.latencyUs =
-            std::max(0.0, st.record.doneUs - st.record.issueUs);
-        st.record.attempts = st.attempts;
-        st.record.faultsSeen = network_.faultsFired() - st.firedBase;
+        close(st);
         // A failed predecessor releases its dependents at failure
         // time: downstream traffic keeps flowing (and keeps being
         // measured) instead of deadlocking the replay.

@@ -6,11 +6,14 @@
  * under the max-min fair sharing model, with a fault storm armed once
  * on the shared fabric and firing mid-traffic.
  *
- * Recovery rides the Communicator's own selection/recovery cascade
- * (selectPlan / decideRecovery), so a replayed fleet heals exactly
- * like individual Communicator::run calls would — but re-entrantly
- * across interleaved ops. Fired-fault observation is per-op-timeline:
- * each op snapshots the shared network's fired-fault index at
+ * Each op drives its own Recovery (runtime/recovery.h), the attempt
+ * state machine Communicator::run drives too, so a replayed fleet
+ * heals by the same policy as individual run() calls — but
+ * re-entrantly across interleaved ops, on one clock and one fabric
+ * (a run() retry instead restarts on a fresh machine). One
+ * difference stays: run() re-syncs the quarantine baseline after a
+ * success, the replay does not. Fired-fault observation is
+ * per-op-timeline: each op snapshots the shared network's fired-fault index at
  * dispatch and attributes the suffix to itself at resolution, so two
  * overlapping ops BOTH see a fault that fired while both were in
  * flight (global consumption would hide it from the second). The
@@ -41,9 +44,9 @@ struct ReplayOptions
 {
     /**
      * Engage the self-healing runtime: feed the communicator's
-     * health monitor, and recover aborted ops through its
-     * decideRecovery cascade (backoff / window switch / verified
-     * replan / fallback). When false the monitor is never fed and an
+     * health monitor, and recover aborted ops through its recovery
+     * cascade (backoff / window switch / verified replan /
+     * fallback). When false the monitor is never fed and an
      * aborted op simply retries its original plan after a fixed
      * deterministic backoff — the control arm of the availability
      * comparison.

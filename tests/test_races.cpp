@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "collectives/classic.h"
@@ -17,6 +19,7 @@
 #include "common/error.h"
 #include "compiler/compiler.h"
 #include "compiler/verifier.h"
+#include "sim/worker_pool.h"
 
 namespace mscclang {
 namespace {
@@ -269,6 +272,46 @@ TEST(Races, VerdictsOnRacyPrograms)
     EXPECT_EQ(verdictOf(twoWritersIr()),
               "data race: rank 0 tb 0 step 0 and tb 1 step 0 access "
               "o[0] unordered");
+}
+
+TEST(Races, WorkerCountIsCappedByThePool)
+{
+    // The per-rank checks fan out on SimWorkerPool, so a request
+    // above hardware concurrency gets the pool's cap. Checked on the
+    // pool itself, without asking the OS for that many threads.
+    unsigned hw = std::thread::hardware_concurrency();
+    int cap = hw > 0 ? static_cast<int>(hw) : 1;
+    bool uncapped =
+        std::getenv("MSCCLANG_SIM_THREADS_UNCAPPED") != nullptr;
+    EXPECT_EQ(SimWorkerPool(cap + 1).threads(),
+              uncapped ? cap + 1 : cap);
+
+    // A racy program above the serial threshold gets the same
+    // message from one lane as from a request far past the cap.
+    AlgoConfig config;
+    config.instances = 4;
+    IrProgram ir =
+        compileProgram(*makeHierarchicalAllReduce(4, 8, 2, config)).ir;
+    int instrs = 0;
+    for (IrGpu &gpu : ir.gpus) {
+        for (IrThreadBlock &tb : gpu.threadBlocks) {
+            instrs += static_cast<int>(tb.steps.size());
+            for (IrInstruction &instr : tb.steps)
+                instr.deps.clear();
+        }
+    }
+    EXPECT_GT(instrs, 4096);
+    auto run = [&](int threads) -> std::string {
+        try {
+            verifyRaceFree(ir, threads);
+            return std::string();
+        } catch (const VerificationError &error) {
+            return error.what();
+        }
+    };
+    std::string serial = run(1);
+    EXPECT_NE(serial.find("data race"), std::string::npos) << serial;
+    EXPECT_EQ(run(1 << 12), serial);
 }
 
 TEST(Races, FifoImbalanceReported)

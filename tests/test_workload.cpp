@@ -245,6 +245,63 @@ TEST(Replay, SingleOpMatchesCommunicatorRun)
     EXPECT_EQ(replay.ops[0].algorithm, result.algorithm);
 }
 
+TEST(Replay, RecoversLikeCommunicatorRun)
+{
+    // The chaos sweep's NIC scenario: ib-send[0.3] dies mid-kernel
+    // and the degraded-topology replan routes around it. Both drivers
+    // run the same Recovery policy, so Communicator::run and a one-op
+    // replay must finish on the same plan after the same attempts.
+    WorkloadSpec spec;
+    spec.name = "one";
+    WorkloadStream stream;
+    stream.name = "s";
+    WorkloadOp op;
+    op.collective = "allreduce";
+    op.bytes = 1 << 20;
+    stream.ops.push_back(op);
+    spec.streams.push_back(stream);
+
+    const std::string machine = "generic:2:4";
+    ReplayOptions options = fastOptions();
+    RunOptions run;
+    run.bytes = op.bytes;
+    run.maxAttempts = options.maxAttempts;
+    run.maxTilesPerChunk = options.maxTilesPerChunk;
+    run.watchdogNoProgressUs = options.watchdogNoProgressUs;
+    run.watchdogTimeoutUs = options.watchdogTimeoutUs;
+
+    Fixture healthy(spec, machine);
+    double healthy_us = healthy.comm.run("allreduce", run).timeUs;
+    std::vector<ResourceId> nic =
+        resourcesMatching(healthy.topology, "ib-send[0.3]");
+    ASSERT_EQ(nic.size(), 1u);
+    FaultEvent down;
+    down.resource = nic[0];
+    down.kind = FaultKind::LinkDown;
+    down.atUs = 0.3 * healthy_us;
+    FaultSchedule storm{ { down } };
+
+    Fixture replayed(spec, machine);
+    ReplayResult replay =
+        replayWorkload(replayed.comm, spec, storm, options);
+    ASSERT_EQ(replay.ops.size(), 1u);
+    const OpRecord &record = replay.ops[0];
+    ASSERT_TRUE(record.completed) << record.failReason;
+
+    Fixture solo(spec, machine);
+    solo.topology.setFaultSchedule(storm);
+    RunResult result = solo.comm.run("allreduce", run);
+
+    EXPECT_EQ(record.algorithm, result.algorithm);
+    EXPECT_NE(result.algorithm.find(" (replan)"), std::string::npos)
+        << result.algorithm;
+    EXPECT_EQ(record.attempts, result.attempts);
+    EXPECT_GT(result.attempts, 1);
+    EXPECT_EQ(record.replanned, result.recoveredViaReplan);
+    EXPECT_TRUE(result.recoveredViaReplan);
+    EXPECT_FALSE(record.fellBack);
+}
+
 TEST(Replay, ConcurrentStreamsContendForBandwidth)
 {
     WorkloadSpec one = smallSpec(1, 1 << 20);

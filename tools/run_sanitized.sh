@@ -12,7 +12,8 @@
 # the compiler passes' raw index arithmetic — the linear critical
 # path, lowering's access histories, fusion's edge rewiring, the
 # scheduler's compact graph and flat tables
-# (ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats). Also
+# (ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats), and the
+# tuner's threaded sweep (Tuner). Also
 # registered as the "sanitize" ctest configuration (ctest -C sanitize)
 # next to the existing "perf" configuration.
 #
@@ -31,7 +32,8 @@
 # between batches (Faults), the schedule search's budget-leased
 # sweep worker pool (Search, SimThreadLease), and the race verifier's
 # threaded per-rank driver across worker counts (Races,
-# Hierarchical). TSan runs export
+# Hierarchical), and the tuner's sweep on the same pool (Tuner). TSan
+# runs export
 # MSCCLANG_SIM_THREADS_UNCAPPED=1 so the worker pools spin real
 # threads — and real interleavings — even on a small CI host where
 # the hardware-concurrency cap would otherwise collapse every pool
@@ -55,11 +57,11 @@ fi
 if [[ "$TSAN" == "1" ]]; then
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     SANITIZE_FLAG="-DMSCCLANG_TSAN=ON"
-    FILTER="${1:-Sim|Interp|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|Races}"
+    FILTER="${1:-Sim|Interp|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|Races|Tuner}"
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|Xml|ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|Xml|ChunkDag|Lowering|Fusion|Schedule|InstrGraph|CompileStats|Tuner}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -67,7 +69,7 @@ cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
 cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
-    test_xml test_compiler test_schedule test_instr_graph \
+    test_xml test_compiler test_schedule test_instr_graph test_tuner \
     -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
