@@ -25,14 +25,14 @@
  * With --json PATH the same numbers are written as BENCH_sim.json,
  * including speedup factors versus the frozen pre-overhaul baseline
  * (kSeedBaseline*, measured at the seed simulator on the reference
- * container) and versus the frozen pre-sharding flow network
- * (kGlobalRecomputeBaseline); tools/run_benches.sh invokes it that
- * way.
+ * container), versus the frozen pre-sharding flow network
+ * (kGlobalRecomputeBaseline) and versus the frozen rank-batched
+ * interpreter (kRankBatchedBaseline); tools/run_benches.sh invokes
+ * it that way.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -82,6 +82,23 @@ constexpr GlobalRecomputeBaseline kGlobalRecomputeBaseline[] = {
     { 16, 1.3271, 6.1341 },
     { 64, 31.0082, 108.2964 },
     { 128, 149.6298, 439.7702 },
+};
+
+/**
+ * The rank-batched interpreter engine (DESIGN.md §13), last measured
+ * at 1 thread in the scaling workload's 1 MB Ring AllReduce cells
+ * before that engine was deleted. Frozen like the baselines above;
+ * rank counts without an entry report a speedup of 0.
+ */
+struct RankBatchedBaseline
+{
+    int ranks;
+    double allreduceMs; // ms per run
+};
+constexpr RankBatchedBaseline kRankBatchedBaseline[] = {
+    { 16, 1.0447 },
+    { 64, 20.659 },
+    { 128, 113.6939 },
 };
 
 struct Fingerprint
@@ -197,7 +214,6 @@ runChurnCell(const Topology &topo, int ranks, int threads, int waves,
 double
 runScalingCell(const Topology &topo, const IrProgram &ir, int threads,
                int passes, Fingerprint *fp,
-               bool parallel_interp = false,
                SimProfile *profile = nullptr)
 {
     double best_ms = std::numeric_limits<double>::infinity();
@@ -216,7 +232,6 @@ runScalingCell(const Topology &topo, const IrProgram &ir, int threads,
         exec.bytesPerRank = 1ull << 20;
         exec.maxTilesPerChunk = 16;
         exec.launchOverheadUs = topo.params().kernelLaunchUs;
-        exec.parallelInterp = parallel_interp;
         exec.profile = profile;
         IrExecution run(topo, ir, events, network, exec, nullptr);
         ExecStats stats;
@@ -520,203 +535,150 @@ main(int argc, char **argv)
     std::printf("\n");
 
     // ---------------------------------------------------------------
-    // Workload 3: ranks x threads scaling, both interpreter engines.
-    // Each rank count measures the flow network across the thread
-    // axis with the serial interpreter, then the same axis with the
-    // parallel interpreter (DESIGN.md §13), and reports speedups
-    // against the frozen global-recompute baseline.
+    // Workload 3: ranks x threads scaling. Each rank count measures
+    // the flow network across the thread axis and reports speedups
+    // against the frozen global-recompute and rank-batched baselines.
     // Simulated fingerprints must be bit-identical across thread
-    // counts within each engine, and across engines up to wireBytes
-    // fp-summation order — the bench enforces both. It also enforces
-    // the adaptive-threshold guarantee: no cell may fall below 0.95x
-    // of its rank's serial-interpreter 1-thread cell (extra threads
-    // and the parallel engine must never cost more than measurement
-    // noise). Thread-axis wall-clock gains require real cores
-    // (host_cpus is recorded in the JSON); the sharding gain is
-    // algorithmic and shows on any host.
+    // counts — the bench enforces it. It also enforces the
+    // adaptive-threshold guarantee: no cell may fall below 0.95x of
+    // its rank's 1-thread cell (extra threads must never cost more
+    // than measurement noise). Thread-axis wall-clock gains require
+    // real cores (host_cpus is recorded in the JSON); the sharding
+    // gain is algorithmic and shows on any host.
     struct ScalingCell
     {
         int ranks;
         int threads;
-        bool parallelInterp;
         double ms;
         Fingerprint fp;
-        double vsFirst;    // speedup vs this engine's 1-thread cell
-        double vsSerial1t; // speedup vs serial-interp 1-thread cell
-        double vsGlobal;   // speedup vs the frozen unsharded baseline
-        double churnMs;    // flow-network churn (serial cells only)
+        double vsFirst;       // speedup vs this rank's 1-thread cell
+        double vsGlobal;      // speedup vs the frozen unsharded baseline
+        double vsRankBatched; // speedup vs the frozen rank-batched engine
+        double churnMs;       // flow-network churn
         TimeNs churnEndNs;
         double churnVsGlobal;
-        SimProfile prof;   // --profile pass (zeros otherwise)
+        SimProfile prof;      // --profile pass (zeros otherwise)
     };
     std::vector<ScalingCell> cells;
-    // Per rank count: the serial-engine 1-thread ms (the 0.95x and
-    // vs-serial reference).
-    std::vector<std::pair<int, double>> serial_1t_ms;
+    // Per rank count: the 1-thread ms (the 0.95x reference).
+    std::vector<std::pair<int, double>> first_ms_by_ranks;
     const int scale_passes = 3;
     const int churn_waves = 200, churn_lanes = 4;
     bool fp_mismatch = false;
     std::printf("# scaling: Ring AllReduce 1MB (ch=4 r=8 LL128) + "
-                "flow-churn microbench, ranks x threads x engine\n");
+                "flow-churn microbench, ranks x threads\n");
     for (int ranks : scale_ranks) {
         Topology stopo = makeNdv4(ranks / 8);
         IrProgram sring =
             compileProgram(*makeRingAllReduce(ranks, 4, cfg)).ir;
-        double base_ms = 0.0, churn_base_ms = 0.0;
+        double base_ms = 0.0, churn_base_ms = 0.0, batched_ms = 0.0;
         for (const GlobalRecomputeBaseline &b : kGlobalRecomputeBaseline) {
             if (b.ranks == ranks) {
                 base_ms = b.allreduceMs;
                 churn_base_ms = b.churnMs;
             }
         }
-        Fingerprint serial_ref; // serial engine, first thread count
+        for (const RankBatchedBaseline &b : kRankBatchedBaseline) {
+            if (b.ranks == ranks)
+                batched_ms = b.allreduceMs;
+        }
+        Fingerprint ref;
         TimeNs churn_ref_end = 0;
         double churn_ref_delivered = 0.0;
-        double serial_first = 0.0;
-        for (int engine = 0; engine < 2; engine++) {
-            bool pinterp = engine == 1;
-            Fingerprint ref;
-            double first_ms = 0.0;
-            for (size_t t = 0; t < scale_threads.size(); t++) {
-                ScalingCell cell;
-                cell.ranks = ranks;
-                cell.threads = scale_threads[t];
-                cell.parallelInterp = pinterp;
-                cell.ms = runScalingCell(stopo, sring, cell.threads,
-                                         scale_passes, &cell.fp,
-                                         pinterp);
-                cell.churnMs = 0.0;
-                cell.churnEndNs = 0;
-                cell.churnVsGlobal = 0.0;
-                if (!pinterp) {
-                    // The churn microbench has no interpreter in the
-                    // loop; measure it once, on the serial axis.
-                    double churn_delivered = 0.0;
-                    cell.churnMs = runChurnCell(
-                        stopo, ranks, cell.threads, churn_waves,
-                        churn_lanes, &cell.churnEndNs,
-                        &churn_delivered);
-                    if (t == 0) {
-                        churn_ref_end = cell.churnEndNs;
-                        churn_ref_delivered = churn_delivered;
-                    } else if (cell.churnEndNs != churn_ref_end ||
-                               churn_delivered !=
-                                   churn_ref_delivered) {
-                        fp_mismatch = true;
-                    }
-                    cell.churnVsGlobal = cell.churnMs > 0.0
-                        ? churn_base_ms / cell.churnMs
-                        : 0.0;
-                }
-                if (t == 0) {
-                    ref = cell.fp;
-                    first_ms = cell.ms;
-                    if (!pinterp) {
-                        serial_ref = ref;
-                        serial_first = first_ms;
-                        serial_1t_ms.emplace_back(ranks, first_ms);
-                    }
-                } else if (cell.fp.endNs != ref.endNs ||
-                           cell.fp.messages != ref.messages ||
-                           cell.fp.wireBytes != ref.wireBytes) {
-                    // Bit-exact within an engine, any thread count.
-                    fp_mismatch = true;
-                }
-                if (pinterp &&
-                    (cell.fp.endNs != serial_ref.endNs ||
-                     cell.fp.messages != serial_ref.messages ||
-                     std::fabs(cell.fp.wireBytes -
-                               serial_ref.wireBytes) >
-                         1e-6 * serial_ref.wireBytes + 1e-3)) {
-                    // Engines agree exactly on time and messages, up
-                    // to fp-summation order on wireBytes.
-                    fp_mismatch = true;
-                }
-                if (profile_on) {
-                    runScalingCell(stopo, sring, cell.threads, 1,
-                                   nullptr, pinterp, &cell.prof);
-                }
-                cell.vsFirst =
-                    cell.ms > 0.0 ? first_ms / cell.ms : 0.0;
-                cell.vsSerial1t =
-                    cell.ms > 0.0 ? serial_first / cell.ms : 0.0;
-                cell.vsGlobal =
-                    cell.ms > 0.0 ? base_ms / cell.ms : 0.0;
-                if (!pinterp) {
-                    std::printf(
-                        "ranks=%-3d threads=%-2d serial-interp   "
-                        "%.3f ms/run (vs-1t %.2fx, vs-global %.2fx)  "
-                        "churn %.3f ms (vs-global %.2fx)  "
+        double first_ms = 0.0;
+        for (size_t t = 0; t < scale_threads.size(); t++) {
+            ScalingCell cell;
+            cell.ranks = ranks;
+            cell.threads = scale_threads[t];
+            cell.ms = runScalingCell(stopo, sring, cell.threads,
+                                     scale_passes, &cell.fp);
+            double churn_delivered = 0.0;
+            cell.churnMs = runChurnCell(stopo, ranks, cell.threads,
+                                        churn_waves, churn_lanes,
+                                        &cell.churnEndNs,
+                                        &churn_delivered);
+            if (t == 0) {
+                ref = cell.fp;
+                first_ms = cell.ms;
+                first_ms_by_ranks.emplace_back(ranks, first_ms);
+                churn_ref_end = cell.churnEndNs;
+                churn_ref_delivered = churn_delivered;
+            } else if (cell.fp.endNs != ref.endNs ||
+                       cell.fp.messages != ref.messages ||
+                       cell.fp.wireBytes != ref.wireBytes ||
+                       cell.churnEndNs != churn_ref_end ||
+                       churn_delivered != churn_ref_delivered) {
+                // Bit-exact at any thread count.
+                fp_mismatch = true;
+            }
+            if (profile_on) {
+                runScalingCell(stopo, sring, cell.threads, 1, nullptr,
+                               &cell.prof);
+            }
+            cell.vsFirst = cell.ms > 0.0 ? first_ms / cell.ms : 0.0;
+            cell.vsGlobal = cell.ms > 0.0 ? base_ms / cell.ms : 0.0;
+            cell.vsRankBatched =
+                cell.ms > 0.0 ? batched_ms / cell.ms : 0.0;
+            cell.churnVsGlobal =
+                cell.churnMs > 0.0 ? churn_base_ms / cell.churnMs : 0.0;
+            std::printf("ranks=%-3d threads=%-2d %.3f ms/run (vs-1t "
+                        "%.2fx, vs-global %.2fx, vs-rank-batched "
+                        "%.2fx)  churn %.3f ms (vs-global %.2fx)  "
                         "endNs=%lld\n",
                         cell.ranks, cell.threads, cell.ms,
-                        cell.vsFirst, cell.vsGlobal, cell.churnMs,
+                        cell.vsFirst, cell.vsGlobal,
+                        cell.vsRankBatched, cell.churnMs,
                         cell.churnVsGlobal,
                         static_cast<long long>(cell.fp.endNs));
-                } else {
-                    std::printf(
-                        "ranks=%-3d threads=%-2d parallel-interp "
-                        "%.3f ms/run (vs-1t %.2fx, vs-serial-1t "
-                        "%.2fx, vs-global %.2fx)  endNs=%lld\n",
-                        cell.ranks, cell.threads, cell.ms,
-                        cell.vsFirst, cell.vsSerial1t, cell.vsGlobal,
-                        static_cast<long long>(cell.fp.endNs));
-                }
-                cells.push_back(cell);
-            }
+            cells.push_back(cell);
         }
     }
     if (fp_mismatch) {
         std::fprintf(stderr,
                      "sim_throughput: FINGERPRINT MISMATCH across "
-                     "thread counts or engines — determinism "
-                     "contract broken\n");
+                     "thread counts — determinism contract broken\n");
         return 1;
     }
 
     // The no-regression gate (adaptive batch threshold, DESIGN.md
-    // §13): every scaling cell must stay within 5% of its rank's
-    // serial-interpreter 1-thread wall clock. A violation is
-    // re-measured with *interleaved* reference/cell passes (min over
-    // both the original and retry samples) before it counts:
-    // min-of-passes absorbs most interference on a shared host, but
-    // not a steal burst spanning a whole cell — interleaving puts
-    // the burst on both sides of the ratio. With the adaptive
-    // threshold and the hardware-concurrency lane cap, a genuine
-    // regression mechanism would depress every retry, not one.
+    // §11): every scaling cell must stay within 5% of its rank's
+    // 1-thread wall clock. A violation is re-measured with
+    // *interleaved* reference/cell passes (min over both the original
+    // and retry samples) before it counts: min-of-passes absorbs most
+    // interference on a shared host, but not a steal burst spanning a
+    // whole cell — interleaving puts the burst on both sides of the
+    // ratio. With the adaptive threshold and the hardware-concurrency
+    // lane cap, a genuine regression mechanism would depress every
+    // retry, not one.
     int regressions = 0;
     for (ScalingCell &cell : cells) {
-        if (cell.vsSerial1t >= 0.95)
+        if (cell.vsFirst >= 0.95)
             continue;
         double ref_ms = 0.0;
-        for (const auto &entry : serial_1t_ms)
+        for (const auto &entry : first_ms_by_ranks)
             if (entry.first == cell.ranks)
                 ref_ms = entry.second;
         Topology stopo = makeNdv4(cell.ranks / 8);
         IrProgram sring =
             compileProgram(*makeRingAllReduce(cell.ranks, 4, cfg)).ir;
-        for (int attempt = 0;
-             attempt < 3 && cell.vsSerial1t < 0.95; attempt++) {
+        for (int attempt = 0; attempt < 3 && cell.vsFirst < 0.95;
+             attempt++) {
             for (int p = 0; p < scale_passes; p++) {
                 ref_ms = std::min(
                     ref_ms, runScalingCell(stopo, sring, 1, 1, nullptr));
                 cell.ms = std::min(
-                    cell.ms,
-                    runScalingCell(stopo, sring, cell.threads, 1,
-                                   nullptr, cell.parallelInterp));
+                    cell.ms, runScalingCell(stopo, sring, cell.threads,
+                                            1, nullptr));
             }
-            cell.vsSerial1t =
-                cell.ms > 0.0 ? ref_ms / cell.ms : 0.0;
+            cell.vsFirst = cell.ms > 0.0 ? ref_ms / cell.ms : 0.0;
         }
-        if (cell.vsSerial1t >= 0.95)
+        if (cell.vsFirst >= 0.95)
             continue;
         regressions++;
         std::fprintf(stderr,
                      "sim_throughput: REGRESSION ranks=%d threads=%d "
-                     "%s-interp is %.2fx of the serial 1-thread cell "
-                     "(floor 0.95x)\n",
-                     cell.ranks, cell.threads,
-                     cell.parallelInterp ? "parallel" : "serial",
-                     cell.vsSerial1t);
+                     "is %.2fx of the 1-thread cell (floor 0.95x)\n",
+                     cell.ranks, cell.threads, cell.vsFirst);
     }
 
     if (profile_on) {
@@ -724,20 +686,13 @@ main(int argc, char **argv)
                     "(one profiled pass, us)\n");
         for (const ScalingCell &c : cells) {
             std::printf(
-                "ranks=%-3d threads=%-2d %s eventq %.1f flownet %.1f "
-                "flowcb %.1f interp-par %.1f interp-merge %.1f "
-                "(batches: flow %llu, interp %llu, pooled %llu)\n",
+                "ranks=%-3d threads=%-2d eventq %.1f flownet %.1f "
+                "flowcb %.1f (flow batches %llu)\n",
                 c.ranks, c.threads,
-                c.parallelInterp ? "parallel-interp" : "serial-interp  ",
                 static_cast<double>(c.prof.eventQueueNs) / 1000.0,
                 static_cast<double>(c.prof.flowNetworkNs) / 1000.0,
                 static_cast<double>(c.prof.flowCallbacksNs) / 1000.0,
-                static_cast<double>(c.prof.interpParallelNs) / 1000.0,
-                static_cast<double>(c.prof.interpMergeNs) / 1000.0,
-                static_cast<unsigned long long>(c.prof.flowBatches),
-                static_cast<unsigned long long>(c.prof.interpBatches),
-                static_cast<unsigned long long>(
-                    c.prof.interpPooledBatches));
+                static_cast<unsigned long long>(c.prof.flowBatches));
         }
     }
 
@@ -787,54 +742,44 @@ main(int argc, char **argv)
                          &b == kGlobalRecomputeBaseline ? "" : ", ",
                          b.ranks, b.allreduceMs, b.churnMs);
         }
+        std::fprintf(f, "},\n  \"rank_batched_baseline_ms\": {");
+        for (const RankBatchedBaseline &b : kRankBatchedBaseline) {
+            std::fprintf(f, "%s\"%d\": {\"allreduce\": %.4f}",
+                         &b == kRankBatchedBaseline ? "" : ", ",
+                         b.ranks, b.allreduceMs);
+        }
         std::fprintf(f, "},\n  \"scaling\": [\n");
         for (size_t i = 0; i < cells.size(); i++) {
             const ScalingCell &c = cells[i];
             std::fprintf(f,
                          "    {\"ranks\": %d, \"threads\": %d, "
-                         "\"engine\": \"%s\", "
                          "\"ms_per_run\": %.4f, \"end_ns\": %lld, "
                          "\"speedup_vs_1t\": %.2f, "
-                         "\"speedup_vs_serial_1t\": %.2f, "
-                         "\"speedup_vs_global_recompute\": %.2f",
-                         c.ranks, c.threads,
-                         c.parallelInterp ? "parallel" : "serial",
-                         c.ms, static_cast<long long>(c.fp.endNs),
-                         c.vsFirst, c.vsSerial1t, c.vsGlobal);
-            if (!c.parallelInterp) {
-                std::fprintf(f,
-                             ", \"churn_ms\": %.4f, "
-                             "\"churn_end_ns\": %lld, "
-                             "\"churn_speedup_vs_global_recompute\": "
-                             "%.2f",
-                             c.churnMs,
-                             static_cast<long long>(c.churnEndNs),
-                             c.churnVsGlobal);
-            }
+                         "\"speedup_vs_global_recompute\": %.2f, "
+                         "\"speedup_vs_rank_batched\": %.2f, "
+                         "\"churn_ms\": %.4f, "
+                         "\"churn_end_ns\": %lld, "
+                         "\"churn_speedup_vs_global_recompute\": "
+                         "%.2f",
+                         c.ranks, c.threads, c.ms,
+                         static_cast<long long>(c.fp.endNs),
+                         c.vsFirst, c.vsGlobal, c.vsRankBatched,
+                         c.churnMs,
+                         static_cast<long long>(c.churnEndNs),
+                         c.churnVsGlobal);
             if (profile_on) {
                 std::fprintf(
                     f,
                     ", \"profile\": {\"event_queue_us\": %.1f, "
                     "\"flow_network_us\": %.1f, "
                     "\"flow_callbacks_us\": %.1f, "
-                    "\"interp_parallel_us\": %.1f, "
-                    "\"interp_merge_us\": %.1f, "
-                    "\"flow_batches\": %llu, "
-                    "\"interp_batches\": %llu, "
-                    "\"interp_pooled_batches\": %llu}",
+                    "\"flow_batches\": %llu}",
                     static_cast<double>(c.prof.eventQueueNs) / 1000.0,
                     static_cast<double>(c.prof.flowNetworkNs) / 1000.0,
                     static_cast<double>(c.prof.flowCallbacksNs) /
                         1000.0,
-                    static_cast<double>(c.prof.interpParallelNs) /
-                        1000.0,
-                    static_cast<double>(c.prof.interpMergeNs) / 1000.0,
                     static_cast<unsigned long long>(
-                        c.prof.flowBatches),
-                    static_cast<unsigned long long>(
-                        c.prof.interpBatches),
-                    static_cast<unsigned long long>(
-                        c.prof.interpPooledBatches));
+                        c.prof.flowBatches));
             }
             std::fprintf(f, "}%s\n",
                          i + 1 < cells.size() ? "," : "");

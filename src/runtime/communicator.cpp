@@ -337,7 +337,6 @@ Communicator::runAttempt(const IrProgram &ir, const RunOptions &options,
     exec.watchdogNoProgressUs = options.watchdogNoProgressUs;
     exec.faults = faults;
     exec.simThreads = options.simThreads;
-    exec.parallelInterp = options.parallelInterp;
     exec.profile = options.profile;
     if (options.dataMode)
         store_.configure(ir, options.bytes);

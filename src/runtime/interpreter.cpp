@@ -8,7 +8,6 @@
 #include "common/log.h"
 #include "common/error.h"
 #include "common/strings.h"
-#include "sim/profile.h"
 
 namespace mscclang {
 
@@ -173,88 +172,6 @@ struct IrExecution::Impl
         int nextFree = -1;
     };
 
-    // ------------------------------------------------------------------
-    // Parallel engine (options.parallelInterp, DESIGN.md §13): each
-    // rank is a shard. Interpreter steps become *actions* in per-rank
-    // queues ordered by (due, per-rank seq); one coalesced shard
-    // event per rank marks its earliest due time. A batch of
-    // same-time rank events runs a parallel phase (ranks advance
-    // independently: ConnState fields are ownership-partitioned —
-    // ring/head/count/waitingReceiver belong to the destination
-    // rank, occupied/waitingSender to the source — and dependencies
-    // and semaphores are same-rank by construction) followed by a
-    // serial merge in the queue's deterministic (time, domain, rank,
-    // seq) order that applies every cross-rank or global effect.
-
-    enum ActionKind
-    {
-        kActAdvance = 0,  ///< tryAdvance(flat)
-        kActComplete = 1, ///< completeInstr(flat, received)
-        kActDeliver = 2,  ///< deliver(send-op index)
-    };
-
-    struct RankAction
-    {
-        TimeNs due;
-        std::uint64_t seq; // per-rank staging order
-        int kind;
-        int arg;
-        bool received;
-    };
-
-    static bool
-    actionAfter(const RankAction &a, const RankAction &b)
-    {
-        if (a.due != b.due)
-            return a.due > b.due;
-        return a.seq > b.seq;
-    }
-
-    /** A send computed in the parallel phase; the merge phase
-     *  allocates its pooled SendOp and schedules the launch, so
-     *  arena indices and event sequence stay a pure function of the
-     *  schedule at every thread count. */
-    struct StagedSend
-    {
-        Message msg;
-        int flat = 0;
-        int conn = 0;
-        bool receives = false;
-        TimeNs issueNs = 0;
-        TimeNs alphaNs = 0;
-        double wireBytes = 0.0;
-        double capGBps = 0.0;
-        const std::vector<ResourceId> *resources = nullptr;
-    };
-
-    /**
-     * Per-rank shard state. `actions`/`nextSeq` are written by the
-     * driving thread (staging) and by the one worker processing the
-     * rank in a batch's parallel phase — never both at once. The
-     * delta/output fields are parallel-phase products folded into
-     * the global totals by the serial merge.
-     */
-    struct RankCtx
-    {
-        std::vector<RankAction> actions; // min-heap by (due, seq)
-        std::uint64_t nextSeq = 1;
-        EventId pendingEvent = 0;
-        TimeNs pendingAt = 0;
-
-        std::uint64_t messagesDelta = 0;
-        double wireBytesDelta = 0.0;
-        std::uint64_t progressDelta = 0;
-        int finishedDelta = 0;
-        std::vector<TraceEvent> trace;
-        std::vector<std::string> logs;
-        /** Connections whose FIFO slot this rank's receives freed
-         *  (the sender-side release is cross-rank: merge applies). */
-        std::vector<int> slotFreed;
-        /** Consumed send-op arena indices (arena is global). */
-        std::vector<int> freedSends;
-        std::vector<StagedSend> sends;
-    };
-
     const Topology &topology;
     const IrProgram &ir;
     EventQueue &events;
@@ -267,15 +184,9 @@ struct IrExecution::Impl
     /** flat tb id = tbBase[rank] + tb index */
     std::vector<int> tbBase;
     std::vector<ConnState> conns;
-    /** Destination rank per connection: the delivery shard. */
-    std::vector<Rank> connDst;
     std::vector<SendOp> sendPool;
     int freeSend = -1;
 
-    /** Parallel engine state (empty when parallelInterp is off). */
-    bool parallel = false;
-    int interpDomain = -1;
-    std::vector<RankCtx> rankCtx;
     /** semaphore waiters per flat tb: (threshold units, waiter). */
     std::vector<std::vector<std::pair<long, int>>> semWaiters;
 
@@ -385,7 +296,6 @@ struct IrExecution::Impl
                 ConnState conn;
                 conn.ring.resize(std::max(proto.slots, 1));
                 conns.push_back(std::move(conn));
-                connDst.push_back(dst);
             }
             return conn_index[key];
         };
@@ -438,15 +348,6 @@ struct IrExecution::Impl
                     state.sendCapGBps = params.tbNvlinkBwGBps;
                 }
             }
-        }
-
-        parallel = options.parallelInterp;
-        if (parallel) {
-            rankCtx.resize(ir.numRanks);
-            interpDomain = events.addShardDomain(
-                [this](const std::vector<int> &batch) {
-                    runRankBatch(batch);
-                });
         }
     }
 
@@ -503,215 +404,6 @@ struct IrExecution::Impl
         op.msg.data.clear(); // keeps capacity warm for data mode
         op.nextFree = freeSend;
         freeSend = idx;
-    }
-
-    // ------------------------------------------------------------------
-    // Parallel engine: rank-shard action queues and the batch runner.
-
-    void
-    pushAction(RankCtx &ctx, TimeNs due, int kind, int arg,
-               bool received)
-    {
-        ctx.actions.push_back(
-            RankAction{ due, ctx.nextSeq++, kind, arg, received });
-        std::push_heap(ctx.actions.begin(), ctx.actions.end(),
-                       actionAfter);
-    }
-
-    RankAction
-    popAction(RankCtx &ctx)
-    {
-        std::pop_heap(ctx.actions.begin(), ctx.actions.end(),
-                      actionAfter);
-        RankAction act = ctx.actions.back();
-        ctx.actions.pop_back();
-        return act;
-    }
-
-    /**
-     * Keeps the rank's single coalesced shard event at its earliest
-     * due time (cancel + reschedule, like the flow network's
-     * scheduleShardUpdate). Driving thread only.
-     */
-    void
-    syncRankEvent(int rank)
-    {
-        RankCtx &ctx = rankCtx[rank];
-        if (ctx.actions.empty()) {
-            if (ctx.pendingEvent != 0) {
-                events.cancel(ctx.pendingEvent);
-                ctx.pendingEvent = 0;
-            }
-            return;
-        }
-        TimeNs due = ctx.actions.front().due;
-        if (ctx.pendingEvent != 0) {
-            if (ctx.pendingAt == due)
-                return;
-            events.cancel(ctx.pendingEvent);
-        }
-        ctx.pendingAt = due;
-        ctx.pendingEvent = events.scheduleShard(due, rank,
-                                                interpDomain);
-    }
-
-    /** Stages an action from the driving thread (flow completions,
-     *  cross-rank wakes, kickoff) and syncs the rank's event. */
-    void
-    stageSerial(int rank, TimeNs due, int kind, int arg, bool received)
-    {
-        pushAction(rankCtx[rank], due, kind, arg, received);
-        syncRankEvent(rank);
-    }
-
-    /**
-     * After finishAll (abort or completion) the remaining rank
-     * events just drain their queues so in-flight pooled sends
-     * return to the arena — the parallel twin of the serial engine's
-     * aborted checks in launchFlow/flowDrained/deliver.
-     */
-    void
-    drainRank(int rank)
-    {
-        RankCtx &ctx = rankCtx[rank];
-        ctx.pendingEvent = 0;
-        ctx.pendingAt = 0;
-        while (!ctx.actions.empty()) {
-            RankAction act = popAction(ctx);
-            if (act.kind == kActDeliver)
-                freeSendOp(act.arg);
-        }
-    }
-
-    /**
-     * Parallel phase for one rank: pop every action due now, in
-     * (due, seq) order, and run it against rank-owned state only.
-     * Cross-rank and global effects land in the rank's ctx for the
-     * merge phase.
-     */
-    void
-    rankParallel(int rank)
-    {
-        RankCtx &ctx = rankCtx[rank];
-        ctx.pendingEvent = 0; // consumed by the queue
-        ctx.pendingAt = 0;
-        TimeNs now = events.now();
-        while (!ctx.actions.empty() &&
-               ctx.actions.front().due == now) {
-            RankAction act = popAction(ctx);
-            switch (act.kind) {
-              case kActAdvance:
-                tryAdvance(act.arg, &ctx);
-                break;
-              case kActComplete:
-                completeInstr(act.arg, act.received, &ctx);
-                break;
-              case kActDeliver:
-                deliver(act.arg, &ctx);
-                break;
-            }
-        }
-    }
-
-    /**
-     * Serial merge for one rank, in deterministic batch order: fold
-     * stats/trace/progress, release FIFO slots and restage their
-     * (cross-rank) blocked senders at this instant, recycle and
-     * allocate pooled sends, and re-arm the rank's shard event.
-     */
-    void
-    rankMerge(int rank)
-    {
-        RankCtx &ctx = rankCtx[rank];
-        TimeNs now = events.now();
-        stats.messages += ctx.messagesDelta;
-        ctx.messagesDelta = 0;
-        stats.wireBytes += ctx.wireBytesDelta;
-        ctx.wireBytesDelta = 0.0;
-        progress += ctx.progressDelta;
-        ctx.progressDelta = 0;
-        finishedTbs += ctx.finishedDelta;
-        ctx.finishedDelta = 0;
-        for (TraceEvent &ev : ctx.trace)
-            trace.push_back(ev); // writeTrace sorts canonically
-        ctx.trace.clear();
-        for (const std::string &line : ctx.logs)
-            logDebug(line);
-        ctx.logs.clear();
-        for (int conn : ctx.slotFreed) {
-            ConnState &in = conns[conn];
-            in.occupied--;
-            int waiter = in.waitingSender;
-            in.waitingSender = -1;
-            if (waiter >= 0) {
-                stageSerial(tbs[waiter].rank, now, kActAdvance,
-                            waiter, false);
-            }
-        }
-        ctx.slotFreed.clear();
-        for (int idx : ctx.freedSends)
-            freeSendOp(idx);
-        ctx.freedSends.clear();
-        for (StagedSend &send : ctx.sends) {
-            int idx = allocSendOp();
-            SendOp &op = sendPool[idx];
-            op.msg = std::move(send.msg);
-            op.flat = send.flat;
-            op.conn = send.conn;
-            op.receives = send.receives;
-            op.alphaNs = send.alphaNs;
-            op.wireBytes = send.wireBytes;
-            op.capGBps = send.capGBps;
-            op.resources = send.resources;
-            events.scheduleAfter(send.issueNs,
-                                 [this, idx] { launchFlow(idx); });
-        }
-        ctx.sends.clear();
-        syncRankEvent(rank);
-    }
-
-    /** EventQueue batch entry point for the interpreter domain. */
-    void
-    runRankBatch(const std::vector<int> &batch)
-    {
-        if (aborted || done) {
-            for (int rank : batch)
-                drainRank(rank);
-            return;
-        }
-        SimProfile *prof = options.profile;
-        if (prof)
-            prof->interpBatches++;
-        {
-            SimProfileTimer timer(prof ? &prof->interpParallelNs
-                                       : nullptr);
-            // Same adaptive threshold as the flow network: narrow
-            // batches run inline, the fan-out/barrier overhead beats
-            // the win below a handful of ranks.
-            SimWorkerPool *pool = batch.size() >= kMinParallelBatch
-                ? network.workerPool()
-                : nullptr;
-            if (pool) {
-                if (prof)
-                    prof->interpPooledBatches++;
-                pool->forEach(batch.size(),
-                              [this, &batch](std::size_t i) {
-                                  rankParallel(batch[i]);
-                              });
-            } else {
-                for (int rank : batch)
-                    rankParallel(rank);
-            }
-        }
-        SimProfileTimer timer(prof ? &prof->interpMergeNs : nullptr);
-        for (int rank : batch)
-            rankMerge(rank);
-        // Completion is detected here, not inside tryAdvance: the
-        // finished counts arrive as per-rank deltas.
-        if (!done &&
-            finishedTbs == static_cast<int>(tbs.size())) {
-            finishAll();
-        }
     }
 
     /**
@@ -864,14 +556,6 @@ struct IrExecution::Impl
         events.scheduleAfter(launch, [this] {
             if (tbs.empty()) {
                 finishAll();
-                return;
-            }
-            if (parallel) {
-                TimeNs now = events.now();
-                for (TbState &tb : tbs) {
-                    stageSerial(tb.rank, now, kActAdvance, tb.flatId,
-                                false);
-                }
                 return;
             }
             for (TbState &tb : tbs)
@@ -1056,21 +740,19 @@ struct IrExecution::Impl
         std::fclose(file);
     }
 
-    /** Same-rank wake: the waiter's rank owns the waiting slot, so
-     *  the parallel phase may advance it inline under its own ctx. */
     void
-    wake(int &slot_ref, RankCtx *ctx = nullptr)
+    wake(int &slot_ref)
     {
         int id = slot_ref;
         slot_ref = -1;
         if (id >= 0)
-            tryAdvance(id, ctx);
+            tryAdvance(id);
     }
 
     /** Semaphore waiters are same-rank by construction (IrDep names
      *  a thread block on the publishing rank). */
     void
-    bumpUnits(TbState &tb, RankCtx *ctx = nullptr)
+    bumpUnits(TbState &tb)
     {
         tb.units++;
         std::vector<std::pair<long, int>> &waiters =
@@ -1080,7 +762,7 @@ struct IrExecution::Impl
                 int waiter = waiters[i].second;
                 waiters[i] = waiters.back();
                 waiters.pop_back();
-                tryAdvance(waiter, ctx);
+                tryAdvance(waiter);
             } else {
                 i++;
             }
@@ -1088,7 +770,7 @@ struct IrExecution::Impl
     }
 
     void
-    tryAdvance(int flat, RankCtx *ctx = nullptr)
+    tryAdvance(int flat)
     {
         if (aborted)
             return;
@@ -1098,14 +780,8 @@ struct IrExecution::Impl
         for (;;) {
             if (tb.numSteps == 0 || tb.tile >= numTiles) {
                 tb.finished = true;
-                if (ctx != nullptr) {
-                    // Completion detection is the merge phase's: the
-                    // global count folds per-rank deltas.
-                    ctx->finishedDelta++;
-                } else if (++finishedTbs ==
-                           static_cast<int>(tbs.size())) {
+                if (++finishedTbs == static_cast<int>(tbs.size()))
                     finishAll();
-                }
                 return;
             }
             const IrInstruction &instr = tb.tb->steps[tb.step];
@@ -1151,15 +827,14 @@ struct IrExecution::Impl
                 }
             }
 
-            execute(tb, instr, payload, receives, sends, ctx);
+            execute(tb, instr, payload, receives, sends);
             return;
         }
     }
 
     void
     execute(TbState &tb, const IrInstruction &instr,
-            std::uint64_t payload, bool receives, bool sends,
-            RankCtx *ctx = nullptr)
+            std::uint64_t payload, bool receives, bool sends)
     {
         tb.busy = true;
         tb.busyStartNs = events.now();
@@ -1218,17 +893,6 @@ struct IrExecution::Impl
             TimeNs alpha_ns =
                 tb.tile == 0 ? tb.sendAlpha0Ns : tb.sendAlphaNNs;
 
-            if (ctx != nullptr) {
-                // Arena allocation and event scheduling are global:
-                // the merge phase performs them in batch order.
-                ctx->messagesDelta++;
-                ctx->wireBytesDelta += wire_bytes;
-                ctx->sends.push_back(StagedSend{
-                    std::move(outgoing), tb.flatId, tb.sendConn,
-                    receives, usToNs(issue_us), alpha_ns, wire_bytes,
-                    tb.sendCapGBps, tb.sendResources });
-                return;
-            }
             stats.messages++;
             stats.wireBytes += wire_bytes;
 
@@ -1247,15 +911,6 @@ struct IrExecution::Impl
         } else {
             double cost_us = localCostUs(instr, payload, tb.tile);
             int flat = tb.flatId;
-            if (ctx != nullptr) {
-                // All local costs are strictly positive, so the
-                // completion lands in a strictly later batch — no
-                // same-instant self-cascade inside the parallel
-                // phase.
-                pushAction(*ctx, events.now() + usToNs(cost_us),
-                           kActComplete, flat, receives);
-                return;
-            }
             events.scheduleAfter(usToNs(cost_us),
                                  [this, flat, receives] {
                                      completeInstr(flat, receives);
@@ -1285,17 +940,6 @@ struct IrExecution::Impl
             return;
         }
         SendOp &op = sendPool[idx];
-        if (parallel) {
-            // Restage on the owning rank shards: the sender's
-            // completion is its rank's work at this instant, the
-            // delivery is the destination rank's an alpha later.
-            TimeNs now = events.now();
-            stageSerial(tbs[op.flat].rank, now, kActComplete, op.flat,
-                        op.receives);
-            stageSerial(connDst[op.conn], now + op.alphaNs,
-                        kActDeliver, idx, false);
-            return;
-        }
         completeInstr(op.flat, op.receives);
         events.scheduleAfter(sendPool[idx].alphaNs,
                              [this, idx] { deliver(idx); });
@@ -1303,7 +947,7 @@ struct IrExecution::Impl
 
     /** A sent tile arrived at the destination rank. */
     void
-    deliver(int idx, RankCtx *ctx = nullptr)
+    deliver(int idx)
     {
         if (aborted) {
             freeSendOp(idx);
@@ -1312,69 +956,46 @@ struct IrExecution::Impl
         SendOp &op = sendPool[idx];
         ConnState &conn = conns[op.conn];
         pushInbox(conn, std::move(op.msg));
-        if (ctx != nullptr) {
-            ctx->freedSends.push_back(idx); // arena is global
-            ctx->progressDelta++;
-        } else {
-            freeSendOp(idx);
-            progress++;
-        }
-        wake(conn.waitingReceiver, ctx);
+        freeSendOp(idx);
+        progress++;
+        wake(conn.waitingReceiver);
     }
 
     /** Wraps up the current instruction of a thread block. */
     void
-    completeInstr(int flat, bool received, RankCtx *ctx = nullptr)
+    completeInstr(int flat, bool received)
     {
         if (aborted)
             return;
-        if (ctx != nullptr)
-            ctx->progressDelta++;
-        else
-            progress++;
+        progress++;
         TbState &tb = tbs[flat];
         if (traceEnabled) {
-            // Per-rank buffers merge in batch order; writeTrace's
-            // canonical sort makes the file bytes independent of the
-            // append order anyway.
-            (ctx != nullptr ? ctx->trace : trace)
-                .push_back(TraceEvent{ tb.rank, tb.tb->id, tb.tile,
-                                       tb.step,
-                                       tb.tb->steps[tb.step].op,
-                                       tb.busyStartNs,
-                                       events.now() });
+            trace.push_back(TraceEvent{ tb.rank, tb.tb->id, tb.tile,
+                                        tb.step,
+                                        tb.tb->steps[tb.step].op,
+                                        tb.busyStartNs, events.now() });
         }
         if (debugLog) {
-            std::string line = strprintf(
+            logDebug(strprintf(
                 "t=%8.2fus rank %d tb %d tile %d step %d done: %s",
                 static_cast<double>(events.now()) / 1000.0, tb.rank,
                 tb.tb->id, tb.tile, tb.step,
-                tb.tb->steps[tb.step].toString().c_str());
-            if (ctx != nullptr)
-                ctx->logs.push_back(std::move(line));
-            else
-                logDebug(line);
+                tb.tb->steps[tb.step].toString().c_str()));
         }
         if (received) {
-            // Consuming the message frees the sender's FIFO slot —
-            // sender-side state, owned by the peer rank: the merge
-            // phase applies it and restages the blocked sender.
-            if (ctx != nullptr) {
-                ctx->slotFreed.push_back(tb.recvConn);
-            } else {
-                ConnState &in = conns[tb.recvConn];
-                in.occupied--;
-                wake(in.waitingSender);
-            }
+            // Consuming the message frees the sender's FIFO slot.
+            ConnState &in = conns[tb.recvConn];
+            in.occupied--;
+            wake(in.waitingSender);
         }
-        bumpUnits(tb, ctx);
+        bumpUnits(tb);
         tb.busy = false;
         tb.step++;
         if (tb.step >= tb.numSteps) {
             tb.step = 0;
             tb.tile++;
         }
-        tryAdvance(flat, ctx);
+        tryAdvance(flat);
     }
 
     /** Applies the instruction's data transformation (data mode). */

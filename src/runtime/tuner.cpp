@@ -121,7 +121,6 @@ sweepCandidateTimesUs(const Topology &topology,
         exec.maxTilesPerChunk = options.maxTilesPerChunk;
         exec.launchOverheadUs = topology.params().kernelLaunchUs;
         exec.simThreads = sim_threads;
-        exec.parallelInterp = options.parallelInterp;
         ExecStats stats = runIr(topology, *candidates[u], exec);
         time_us[point] = stats.durationUs();
     };

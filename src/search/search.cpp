@@ -356,7 +356,6 @@ searchSchedules(const Topology &topology, const std::string &collective,
     topts.maxTilesPerChunk = options.maxTilesPerChunk;
     topts.threads = options.threads;
     topts.simThreads = options.simThreads;
-    topts.parallelInterp = options.parallelInterp;
     std::vector<const IrProgram *> pointers;
     pointers.reserve(irs.size());
     for (const IrProgram &ir : irs)

@@ -122,8 +122,8 @@ struct SearchOptions
      *  any thread count. */
     int threads = 0;
     int simThreads = 1;
-    /** Run sweep simulations on the parallel interpreter engine
-     *  (see TuneOptions::parallelInterp). */
+    /** No-op: kept only because the frozen perfbench harness reads it
+     *  (the rank-batched interpreter engine is deleted). */
     bool parallelInterp = false;
 
     /**

@@ -49,17 +49,14 @@ EventQueue::schedule(TimeNs when, Callback cb)
 }
 
 EventId
-EventQueue::scheduleShard(TimeNs when, int shard, int domain)
+EventQueue::scheduleShard(TimeNs when, int shard)
 {
     if (when < now_)
         throw RuntimeError("EventQueue: scheduling into the past");
     if (shard < 0)
         throw RuntimeError("EventQueue: negative shard id");
-    if (domain < 0 ||
-        static_cast<std::size_t>(domain) >= shardRunners_.size() ||
-        !shardRunners_[domain])
-        throw RuntimeError(
-            "EventQueue: no shard batch runner for domain");
+    if (!shardRunner_)
+        throw RuntimeError("EventQueue: no shard batch runner");
 
     std::uint32_t index = allocSlot();
     Slot &slot = slots_[index];
@@ -68,8 +65,7 @@ EventQueue::scheduleShard(TimeNs when, int shard, int domain)
     slot.shard = shard;
 
     shardHeap_.push_back(
-        ShardEntry{ when, nextSeq_++, index, slot.gen, shard,
-                    domain });
+        ShardEntry{ when, nextSeq_++, index, slot.gen, shard });
     std::push_heap(shardHeap_.begin(), shardHeap_.end(),
                    std::greater<>{});
     liveEvents_++;
@@ -203,19 +199,17 @@ EventQueue::runOne()
         return true;
     }
 
-    // Extract the whole same-(time, domain) batch of shard events.
-    // The heap's (when, domain, shard, seq) order makes the batch
-    // sequence — and with it the serial merge phase the runner
-    // performs — a deterministic function of the schedule alone.
+    // Extract the whole same-time batch of shard events. The heap's
+    // (when, shard, seq) order makes the batch sequence — and with
+    // it the serial merge phase the runner performs — a
+    // deterministic function of the schedule alone.
     // The runner attributes its own phase time; only the extraction
     // counts against the event queue here.
     SimProfileTimer timer(profile_ ? &profile_->eventQueueNs
                                    : nullptr);
     TimeNs when = shardHeap_.front().when;
-    int domain = shardHeap_.front().domain;
     batchScratch_.clear();
-    while (!shardHeap_.empty() && shardHeap_.front().when == when &&
-           shardHeap_.front().domain == domain) {
+    while (!shardHeap_.empty() && shardHeap_.front().when == when) {
         std::pop_heap(shardHeap_.begin(), shardHeap_.end(),
                       std::greater<>{});
         ShardEntry entry = shardHeap_.back();
@@ -236,7 +230,7 @@ EventQueue::runOne()
     now_ = when;
     shardBatches_++;
     timer.stop();
-    shardRunners_[domain](batchScratch_);
+    shardRunner_(batchScratch_);
     return true;
 }
 

@@ -19,23 +19,20 @@
  * error instead of silently recycling — a wrapped generation would
  * let a stale EventId cancel an unrelated event (ABA).
  *
- * Sharded events (the parallel-simulation substrate, DESIGN.md §11,
- * §13): a producer that partitions its state into independent shards
- * — the flow network's coupled-flow components, the interpreter's
- * per-rank thread blocks — schedules *shard events* instead of
- * callbacks. Each producer registers a *domain* (a batch runner);
- * shard events live in their own heap, ordered by the deterministic
- * merge key (time, domain, shard, sequence), and are drained in
- * batches: when the earliest pending event is a shard event at time
- * T, every shard event at exactly (T, domain) is popped as one batch
- * and handed to that domain's runner, which may process the shards
- * on a worker pool because same-instant shards of one domain are
- * independent by construction (any cross-shard influence needs an
- * ordinary serial event or a merge-phase restage, and none can exist
- * between equal timestamps). Ordinary events interleave with shard
- * events by (time, sequence) against the front of the shard heap, so
- * a serial event scheduled before a same-time shard batch still runs
- * first.
+ * Sharded events (the parallel-simulation substrate, DESIGN.md §11):
+ * the flow network partitions its flows into independent shards
+ * (coupled-flow components) and schedules *shard events* instead of
+ * callbacks. Shard events live in their own heap, ordered by the
+ * deterministic merge key (time, shard, sequence), and are drained
+ * in batches: when the earliest pending event is a shard event at
+ * time T, every shard event at exactly T is popped as one batch and
+ * handed to the installed batch runner, which may process the shards
+ * on a worker pool because same-instant shards are independent by
+ * construction (any cross-shard influence needs an ordinary serial
+ * event, and none can exist between equal timestamps). Ordinary
+ * events interleave with shard events by (time, sequence) against
+ * the front of the shard heap, so a serial event scheduled before a
+ * same-time shard batch still runs first.
  */
 
 #ifndef MSCCLANG_SIM_EVENT_QUEUE_H_
@@ -91,36 +88,18 @@ class EventQueue
     }
 
     /**
-     * Schedules a shard event for @p shard of @p domain at @p when.
-     * Requires the domain's batch runner to be installed
-     * (setShardBatchRunner / addShardDomain). The producer should
-     * keep at most one pending shard event per shard (cancel +
-     * reschedule to move it); the batch extraction assumes same-time
-     * shard events of one domain name distinct shards.
+     * Schedules a shard event for @p shard at @p when. Requires the
+     * batch runner to be installed (setShardBatchRunner). The
+     * producer should keep at most one pending shard event per shard
+     * (cancel + reschedule to move it); the batch extraction assumes
+     * same-time shard events name distinct shards.
      */
-    EventId scheduleShard(TimeNs when, int shard, int domain = 0);
+    EventId scheduleShard(TimeNs when, int shard);
 
-    /** Installs the executor for domain-0 shard-event batches. */
+    /** Installs the executor for shard-event batches. */
     void setShardBatchRunner(ShardBatchRunner runner)
     {
-        if (shardRunners_.empty())
-            shardRunners_.push_back(std::move(runner));
-        else
-            shardRunners_[0] = std::move(runner);
-    }
-
-    /**
-     * Registers a new shard domain and returns its id. Domains
-     * partition shard events by producer: batches never mix domains,
-     * and at equal timestamps lower domains drain first (the flow
-     * network, domain 0, settles before the interpreter steps).
-     */
-    int addShardDomain(ShardBatchRunner runner)
-    {
-        if (shardRunners_.empty())
-            shardRunners_.emplace_back(); // reserve domain 0
-        shardRunners_.push_back(std::move(runner));
-        return static_cast<int>(shardRunners_.size()) - 1;
+        shardRunner_ = std::move(runner);
     }
 
     /** Installs wall-clock phase accounting (null disables). */
@@ -182,7 +161,7 @@ class EventQueue
         }
     };
 
-    /** Shard-heap entry, ordered by (when, domain, shard, seq). */
+    /** Shard-heap entry, ordered by (when, shard, seq). */
     struct ShardEntry
     {
         TimeNs when;
@@ -190,15 +169,12 @@ class EventQueue
         std::uint32_t slot;
         std::uint32_t gen;
         int shard;
-        int domain;
 
         bool
         operator>(const ShardEntry &other) const
         {
             if (when != other.when)
                 return when > other.when;
-            if (domain != other.domain)
-                return domain > other.domain;
             if (shard != other.shard)
                 return shard > other.shard;
             return seq > other.seq;
@@ -248,7 +224,7 @@ class EventQueue
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
     std::vector<int> batchScratch_;
-    std::vector<ShardBatchRunner> shardRunners_; // indexed by domain
+    ShardBatchRunner shardRunner_;
     SimProfile *profile_ = nullptr;
 };
 

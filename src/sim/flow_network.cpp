@@ -16,6 +16,13 @@ namespace {
 constexpr double kDoneEpsilon = 1e-6;
 /** Rate resolution, GB/s. */
 constexpr double kRateEpsilon = 1e-12;
+/**
+ * Shard batches narrower than this run inline on the driving thread
+ * even when a worker pool is available: the fan-out/barrier overhead
+ * of a pooled forEach exceeds the win on small batches (the 16-rank
+ * oversharding regression in BENCH_sim.json).
+ */
+constexpr std::size_t kMinParallelBatch = 4;
 
 int
 findRoot(std::vector<int> &parent, int x)
@@ -418,10 +425,9 @@ FlowNetwork::runShardBatch(const std::vector<int> &batch)
 
     // Completion callbacks run last — they may start new flows, and
     // flow starts mutate shard structure (merges), which must not
-    // overlap the batch bookkeeping above. In serial-interpreter
-    // runs these callbacks carry the whole interpreter forward, so
-    // their time is booked separately (the Amdahl residue the
-    // parallel interpreter attacks).
+    // overlap the batch bookkeeping above. These callbacks carry the
+    // whole interpreter forward, so their time is booked separately
+    // (the serial Amdahl residue).
     timer.stop();
     SimProfileTimer cbTimer(profile_ ? &profile_->flowCallbacksNs
                                      : nullptr);

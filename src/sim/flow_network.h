@@ -52,15 +52,6 @@ struct SimProfile;
 /** Identifier of an in-flight transfer. */
 using FlowId = std::int64_t;
 
-/**
- * Shard batches narrower than this run inline on the driving thread
- * even when a worker pool is available: the fan-out/barrier overhead
- * of a pooled forEach exceeds the win on small batches (the 16-rank
- * oversharding regression in BENCH_sim.json). Shared by the flow
- * network and the parallel interpreter.
- */
-constexpr std::size_t kMinParallelBatch = 4;
-
 /** The shared-fabric model. One instance per simulated machine. */
 class FlowNetwork
 {
@@ -76,15 +67,6 @@ class FlowNetwork
      */
     void setThreads(int threads);
     int threads() const { return threads_; }
-
-    /**
-     * The shard-batch worker pool, created lazily from the threads()
-     * setting (null when the effective lane count is 1, e.g. after
-     * the hardware-concurrency cap). The parallel interpreter shares
-     * this pool so one simThreads knob — and one SimThreadBudget
-     * lease — governs both engines' lanes.
-     */
-    SimWorkerPool *workerPool();
 
     /** Installs wall-clock phase accounting (null disables). */
     void setProfile(SimProfile *profile) { profile_ = profile; }
@@ -182,6 +164,13 @@ class FlowNetwork
         /** Recompute scratch (kept warm per shard). */
         std::vector<Flow *> unfrozen;
     };
+
+    /**
+     * The shard-batch worker pool, created lazily from the threads()
+     * setting (null when the effective lane count is 1, e.g. after
+     * the hardware-concurrency cap).
+     */
+    SimWorkerPool *workerPool();
 
     int allocFlow();
     void freeFlow(int index);

@@ -26,18 +26,15 @@ struct SimProfile
     std::int64_t eventQueueNs = 0;
     /** Flow-network shard batches: parallel settle/recompute + merge. */
     std::int64_t flowNetworkNs = 0;
-    /** Flow-completion callbacks (interpreter work in serial mode). */
+    /** Flow-completion callbacks (interpreter work). */
     std::int64_t flowCallbacksNs = 0;
-    /** Interpreter rank-batch parallel phase. */
+    /** Always 0: kept only because the frozen perfbench harness
+     *  reads them (the rank-batched interpreter is deleted). */
     std::int64_t interpParallelNs = 0;
-    /** Interpreter rank-batch serial merge phase. */
     std::int64_t interpMergeNs = 0;
 
     std::uint64_t serialEvents = 0;
     std::uint64_t flowBatches = 0;
-    std::uint64_t interpBatches = 0;
-    /** Interpreter batches wide enough to use the worker pool. */
-    std::uint64_t interpPooledBatches = 0;
 
     void
     reset()

@@ -251,7 +251,6 @@ class Replayer
         exec.watchdogNoProgressUs = options_.watchdogNoProgressUs;
         exec.faults = nullptr; // the storm is armed on the shared fabric
         exec.simThreads = options_.simThreads;
-        exec.parallelInterp = options_.parallelInterp;
         exec.profile = options_.profile;
 
         // Executions stay alive until the fabric drains: an aborted
@@ -405,8 +404,8 @@ ReplayResult::fingerprint() const
     // Canonical per-op lines rather than raw double bits: the same
     // "%.3f" quantization the JSON reports use, so the fingerprint
     // and the emitted report agree on what counts as identical.
-    // wireBytes is deliberately absent — its float-summation order
-    // is engine-specific (see ExecOptions::parallelInterp).
+    // wireBytes is deliberately absent: adding it would change every
+    // recorded replay fingerprint.
     std::uint64_t hash = kFnvOffset;
     for (const OpRecord &op : ops) {
         fnvMix(hash,

@@ -65,7 +65,6 @@ struct ReplayOptions
     /** Simulation worker threads; results are bit-identical at every
      *  value (the determinism goldens pin this). */
     int simThreads = 1;
-    bool parallelInterp = false;
     /** Availability threshold: an op is available when it completed
      *  within this multiple of its fault-free latency. */
     double sloMultiplier = 3.0;
@@ -131,7 +130,7 @@ struct ReplayResult
     std::vector<Link> quarantined;
 
     /** FNV-1a over every op record and the fleet counters; stable
-     *  across simThreads counts and interpreter engines. */
+     *  across simThreads counts. */
     std::uint64_t fingerprint() const;
 };
 

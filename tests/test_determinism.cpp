@@ -142,7 +142,7 @@ TEST(Determinism, DataModeStatsAndBuffersAreBitIdentical)
     IrProgram ir = compileProgram(*makeRingAllReduce(8, 2, cfg)).ir;
     const std::uint64_t bytes = 256 << 10;
 
-    auto run_once = [&](DataStore &store) {
+    auto run_once = [&](DataStore &store, int threads) {
         store.configure(ir, bytes);
         for (int r = 0; r < 8; r++) {
             std::vector<float> &in = store.input(r);
@@ -154,18 +154,25 @@ TEST(Determinism, DataModeStatsAndBuffersAreBitIdentical)
         exec.bytesPerRank = bytes;
         exec.maxTilesPerChunk = 16;
         exec.launchOverheadUs = topo.params().kernelLaunchUs;
+        exec.simThreads = threads;
         return runIr(topo, ir, exec, &store);
     };
 
-    DataStore store_a, store_b;
-    ExecStats a = run_once(store_a);
-    ExecStats b = run_once(store_b);
-    EXPECT_EQ(a.endNs, b.endNs);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.wireBytes, b.wireBytes);
-    for (int r = 0; r < 8; r++) {
-        // Element-exact: reductions must run in the same order too.
-        EXPECT_EQ(store_a.output(r), store_b.output(r)) << "rank " << r;
+    DataStore store_a;
+    ExecStats a = run_once(store_a, 1);
+    // A repeat at one thread, then every simulation thread count.
+    for (int threads : { 1, 2, 4, 8 }) {
+        SCOPED_TRACE(threads);
+        DataStore store_b;
+        ExecStats b = run_once(store_b, threads);
+        EXPECT_EQ(a.endNs, b.endNs);
+        EXPECT_EQ(a.messages, b.messages);
+        EXPECT_EQ(a.wireBytes, b.wireBytes);
+        for (int r = 0; r < 8; r++) {
+            // Element-exact: reductions must run in the same order too.
+            EXPECT_EQ(store_a.output(r), store_b.output(r))
+                << "rank " << r;
+        }
     }
 }
 
@@ -359,231 +366,6 @@ TEST(Determinism, SimThreadsInvariantWithActiveFaults)
             << "threads=" << threads;
         EXPECT_EQ(ref.faultsSeen, got.faultsSeen)
             << "threads=" << threads;
-    }
-}
-
-/** One timing-mode run on the parallel interpreter engine. */
-ExecStats
-runParallelInterp(const Topology &topo, const IrProgram &ir,
-                  std::uint64_t bytes, int threads,
-                  const std::string &trace_path = std::string())
-{
-    ExecOptions exec;
-    exec.bytesPerRank = bytes;
-    exec.maxTilesPerChunk = 16;
-    exec.launchOverheadUs = topo.params().kernelLaunchUs;
-    exec.simThreads = threads;
-    exec.parallelInterp = true;
-    exec.traceFile = trace_path;
-    return runIr(topo, ir, exec);
-}
-
-/**
- * The parallel-interpreter contract (DESIGN.md §13): with
- * parallelInterp on, the fingerprint is bit-identical at every
- * simThreads count — the rank-batch merge applies cross-rank effects
- * in deterministic order, so worker count can only move wall-clock
- * time. Against the serial engine, timestamps and message counts
- * agree exactly; wireBytes only up to floating-point summation order
- * (per-rank partial sums fold rank-by-rank instead of accumulating
- * in global event order).
- */
-void
-expectParallelInterpInvariant(const Topology &topo,
-                              const IrProgram &ir,
-                              std::uint64_t bytes)
-{
-    ExecStats serial = runWithSimThreads(topo, ir, bytes, 1);
-    ExecStats ref = runParallelInterp(topo, ir, bytes, 1);
-    EXPECT_EQ(serial.endNs, ref.endNs) << "engine divergence";
-    EXPECT_EQ(serial.startNs, ref.startNs);
-    EXPECT_EQ(serial.messages, ref.messages);
-    EXPECT_NEAR(serial.wireBytes, ref.wireBytes,
-                1e-6 * serial.wireBytes + 1e-3);
-    for (int threads : { 2, 4, 8 }) {
-        ExecStats got = runParallelInterp(topo, ir, bytes, threads);
-        EXPECT_EQ(ref.endNs, got.endNs) << "threads=" << threads;
-        EXPECT_EQ(ref.startNs, got.startNs) << "threads=" << threads;
-        EXPECT_EQ(ref.messages, got.messages)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.wireBytes, got.wireBytes) // exact, not NEAR
-            << "threads=" << threads;
-    }
-}
-
-TEST(Determinism, ParallelInterpInvariantAllReduce16)
-{
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::LL128;
-    cfg.instances = 4;
-    IrProgram ir = compileProgram(*makeRingAllReduce(16, 4, cfg)).ir;
-    expectParallelInterpInvariant(topo, ir, 1 << 20);
-}
-
-TEST(Determinism, ParallelInterpInvariantAllGather16)
-{
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllGather(16, 2, cfg)).ir;
-    expectParallelInterpInvariant(topo, ir, 256 << 10);
-}
-
-TEST(Determinism, ParallelInterpInvariantAllToAll16)
-{
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 1;
-    IrProgram ir = compileProgram(*makeTwoStepAllToAll(2, 8, cfg)).ir;
-    expectParallelInterpInvariant(topo, ir, 256 << 10);
-}
-
-TEST(Determinism, ParallelInterpInvariantAllReduce64)
-{
-    Topology topo = makeNdv4(8);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::LL128;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(64, 2, cfg)).ir;
-    expectParallelInterpInvariant(topo, ir, 256 << 10);
-}
-
-TEST(Determinism, ParallelInterpInvariantAllGather64)
-{
-    Topology topo = makeNdv4(8);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 1;
-    IrProgram ir = compileProgram(*makeRingAllGather(64, 2, cfg)).ir;
-    expectParallelInterpInvariant(topo, ir, 128 << 10);
-}
-
-TEST(Determinism, ParallelInterpInvariantAllToAll64)
-{
-    Topology topo = makeNdv4(8);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 1;
-    IrProgram ir = compileProgram(*makeTwoStepAllToAll(8, 8, cfg)).ir;
-    expectParallelInterpInvariant(topo, ir, 64 << 10);
-}
-
-TEST(Determinism, ParallelInterpTraceContentMatchesSerialEngine)
-{
-    // The full instruction timeline is engine-independent: every
-    // slice's begin/end timestamp is byte-identical between the
-    // serial engine and the parallel engine at any thread count
-    // (writeTrace's canonical sort erases append-order differences).
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::LL128;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
-    std::string path_s =
-        testing::TempDir() + "mscclang_pinterp_serial.json";
-    std::string path_1 =
-        testing::TempDir() + "mscclang_pinterp_1.json";
-    std::string path_8 =
-        testing::TempDir() + "mscclang_pinterp_8.json";
-    runWithSimThreads(topo, ir, 1 << 20, 1, path_s);
-    runParallelInterp(topo, ir, 1 << 20, 1, path_1);
-    runParallelInterp(topo, ir, 1 << 20, 8, path_8);
-    std::string trace_s = slurp(path_s);
-    std::string trace_1 = slurp(path_1);
-    std::string trace_8 = slurp(path_8);
-    EXPECT_FALSE(trace_s.empty());
-    EXPECT_EQ(trace_s, trace_1);
-    EXPECT_EQ(trace_1, trace_8);
-    std::remove(path_s.c_str());
-    std::remove(path_1.c_str());
-    std::remove(path_8.c_str());
-}
-
-TEST(Determinism, ParallelInterpInvariantWithActiveFaults)
-{
-    // Fired-fault sets and post-fault timings survive the engine
-    // swap and every worker count.
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
-    const std::uint64_t bytes = 1 << 20;
-
-    double healthy_us =
-        runWithSimThreads(topo, ir, bytes, 1).durationUs();
-    const Route &route = topo.route(0, 1);
-    ASSERT_FALSE(route.resources.empty());
-    FaultEvent degrade;
-    degrade.resource = route.resources.front();
-    degrade.kind = FaultKind::Degrade;
-    degrade.atUs = healthy_us * 0.3;
-    degrade.durationUs = healthy_us * 0.4;
-    degrade.factor = 0.05;
-    topo.setFaultSchedule(FaultSchedule{ { degrade } });
-
-    ExecStats serial = runWithSimThreads(topo, ir, bytes, 1);
-    ExecStats ref = runParallelInterp(topo, ir, bytes, 1);
-    EXPECT_FALSE(ref.aborted);
-    EXPECT_EQ(serial.endNs, ref.endNs);
-    EXPECT_EQ(serial.firedFaults, ref.firedFaults);
-    EXPECT_EQ(serial.faultsSeen, ref.faultsSeen);
-    for (int threads : { 2, 4, 8 }) {
-        ExecStats got = runParallelInterp(topo, ir, bytes, threads);
-        EXPECT_EQ(ref.endNs, got.endNs) << "threads=" << threads;
-        EXPECT_EQ(ref.messages, got.messages)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.wireBytes, got.wireBytes)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.firedFaults, got.firedFaults)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.faultsSeen, got.faultsSeen)
-            << "threads=" << threads;
-    }
-}
-
-TEST(Determinism, ParallelInterpDataModeMatchesSerialEngine)
-{
-    // Real float data: each rank's reductions execute in the same
-    // per-rank order under both engines, so output buffers are
-    // element-exact — not just close.
-    Topology topo = makeNdv4(1);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(8, 2, cfg)).ir;
-    const std::uint64_t bytes = 256 << 10;
-
-    auto run_once = [&](DataStore &store, bool parallel, int threads) {
-        store.configure(ir, bytes);
-        for (int r = 0; r < 8; r++) {
-            std::vector<float> &in = store.input(r);
-            for (size_t i = 0; i < in.size(); i++)
-                in[i] = static_cast<float>((r * 131 + i) % 97);
-        }
-        ExecOptions exec;
-        exec.dataMode = true;
-        exec.bytesPerRank = bytes;
-        exec.maxTilesPerChunk = 16;
-        exec.launchOverheadUs = topo.params().kernelLaunchUs;
-        exec.simThreads = threads;
-        exec.parallelInterp = parallel;
-        return runIr(topo, ir, exec, &store);
-    };
-
-    DataStore store_s, store_1, store_4;
-    ExecStats s = run_once(store_s, false, 1);
-    ExecStats p1 = run_once(store_1, true, 1);
-    ExecStats p4 = run_once(store_4, true, 4);
-    EXPECT_EQ(s.endNs, p1.endNs);
-    EXPECT_EQ(p1.endNs, p4.endNs);
-    EXPECT_EQ(s.messages, p1.messages);
-    for (int r = 0; r < 8; r++) {
-        EXPECT_EQ(store_s.output(r), store_1.output(r)) << "rank " << r;
-        EXPECT_EQ(store_1.output(r), store_4.output(r)) << "rank " << r;
     }
 }
 
@@ -912,13 +694,12 @@ TEST(Determinism, SeededWorkloadSpecsAreByteIdentical)
     }
 }
 
-TEST(Determinism, WorkloadReplayInvariantAcrossEnginesAndThreads)
+TEST(Determinism, WorkloadReplayInvariantAcrossThreads)
 {
     // A stormed multi-stream replay — retries, backoff jitter,
     // quarantine churn and all — must produce the identical op-level
-    // fingerprint at every simThreads count and on both interpreter
-    // engines. This pins the whole recovery stack, not just one
-    // kernel's timing.
+    // fingerprint at every simThreads count. This pins the whole
+    // recovery stack, not just one kernel's timing.
     Topology topo = parseTopology("generic:2:4");
     WorkloadSpec spec = mergeSpecs(
         "det", { makeDecodeWorkload(4, 512 * 1024, 300.0, 3),
@@ -928,26 +709,19 @@ TEST(Determinism, WorkloadReplayInvariantAcrossEnginesAndThreads)
         150.0);
 
     std::uint64_t reference = 0;
-    bool have_reference = false;
-    for (bool parallel_interp : { false, true }) {
-        for (int threads : { 1, 2, 4, 8 }) {
-            SCOPED_TRACE(parallel_interp ? "parallel" : "serial");
-            SCOPED_TRACE(threads);
-            Communicator comm(topo);
-            registerWorkloadPlans(comm, spec);
-            ReplayOptions options;
-            options.simThreads = threads;
-            options.parallelInterp = parallel_interp;
-            ReplayResult replay =
-                replayWorkload(comm, spec, storm, options);
-            if (!have_reference) {
-                reference = replay.fingerprint();
-                have_reference = true;
-                EXPECT_GT(replay.faultsFired, 0)
-                    << "the storm must actually hit the traffic";
-            } else {
-                EXPECT_EQ(replay.fingerprint(), reference);
-            }
+    for (int threads : { 1, 2, 4, 8 }) {
+        SCOPED_TRACE(threads);
+        Communicator comm(topo);
+        registerWorkloadPlans(comm, spec);
+        ReplayOptions options;
+        options.simThreads = threads;
+        ReplayResult replay = replayWorkload(comm, spec, storm, options);
+        if (threads == 1) {
+            reference = replay.fingerprint();
+            EXPECT_GT(replay.faultsFired, 0)
+                << "the storm must actually hit the traffic";
+        } else {
+            EXPECT_EQ(replay.fingerprint(), reference);
         }
     }
 }

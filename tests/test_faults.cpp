@@ -205,94 +205,60 @@ TEST(Faults, SlotContractSingleSourceOfTruth)
 TEST(Watchdog, AbortsWedgedRunCleanly)
 {
     IrProgram ir = compileProgram(*makeRingAllReduce(4, 1, {})).ir;
-    Topology faulted = makeGeneric(1, 4);
-    FaultSchedule schedule{
-        { makeFault(ringResource(faulted), FaultKind::LinkDown, 10.0) }
-    };
-    faulted.setFaultSchedule(schedule);
 
-    EventQueue events;
-    FlowNetwork network(faulted, events);
-    network.injectFaults(schedule);
-    ExecOptions exec;
-    exec.bytesPerRank = 1 << 20;
-    exec.watchdogNoProgressUs = 100.0;
-    IrExecution run(faulted, ir, events, network, exec, nullptr);
-    ExecStats stats;
-    bool completed = false;
-    run.start([&](const ExecStats &s) {
-        stats = s;
-        completed = true;
-    });
-    events.run();
-
-    ASSERT_TRUE(completed);
-    EXPECT_TRUE(stats.aborted);
-    EXPECT_NE(stats.abortReason.find("no progress"), std::string::npos);
-    EXPECT_NE(stats.abortReason.find("blocked at step"),
-              std::string::npos);
-    EXPECT_NE(stats.abortReason.find("waiting for"), std::string::npos);
-    EXPECT_EQ(stats.faultsSeen, 1);
-    // The abort drained cleanly: no live events remain and the heap
-    // holds no leaked entries (the pooled arena is peak-bounded by
-    // construction; a leak would show up as live events here).
-    EXPECT_TRUE(events.empty());
-    EXPECT_EQ(events.heapEntries(), 0u);
-    EXPECT_GT(events.poolSlots(), 0u);
-}
-
-TEST(Watchdog, ParallelInterpAbortMatchesSerial)
-{
-    // The watchdog abort under parallel rank-batched stepping is as
-    // clean as under the serial engine, and reports the identical
-    // wedge: same abort reason text (blocked-set format), same
-    // implicated links, same fired faults, same simulated abort time.
-    // Pending rank-batch actions staged before the abort must drain
-    // (freeing their pooled sends) rather than leak.
-    IrProgram ir = compileProgram(*makeRingAllReduce(4, 1, {})).ir;
-
-    auto run_engine = [&](bool parallel, int threads, ExecStats *out) {
+    // The abort is the same wedge at every simulation thread count:
+    // same reason text (blocked-set format), implicated links, fired
+    // faults and simulated abort time.
+    ExecStats ref;
+    for (int threads : { 1, 4 }) {
+        SCOPED_TRACE(threads);
         Topology faulted = makeGeneric(1, 4);
         FaultSchedule schedule{ { makeFault(ringResource(faulted),
                                             FaultKind::LinkDown,
                                             10.0) } };
         faulted.setFaultSchedule(schedule);
+
         EventQueue events;
         FlowNetwork network(faulted, events);
         network.injectFaults(schedule);
+        network.setThreads(threads);
         ExecOptions exec;
         exec.bytesPerRank = 1 << 20;
         exec.watchdogNoProgressUs = 100.0;
-        exec.parallelInterp = parallel;
-        exec.simThreads = threads;
-        network.setThreads(threads);
         IrExecution run(faulted, ir, events, network, exec, nullptr);
+        ExecStats stats;
         bool completed = false;
         run.start([&](const ExecStats &s) {
-            *out = s;
+            stats = s;
             completed = true;
         });
         events.run();
+
         ASSERT_TRUE(completed);
+        EXPECT_TRUE(stats.aborted);
+        EXPECT_NE(stats.abortReason.find("no progress"),
+                  std::string::npos);
+        EXPECT_NE(stats.abortReason.find("blocked at step"),
+                  std::string::npos);
+        EXPECT_NE(stats.abortReason.find("waiting for"),
+                  std::string::npos);
+        EXPECT_EQ(stats.faultsSeen, 1);
+        // The abort drained cleanly: no live events remain and the
+        // heap holds no leaked entries (the pooled arena is
+        // peak-bounded by construction; a leak would show up as live
+        // events here).
         EXPECT_TRUE(events.empty());
         EXPECT_EQ(events.heapEntries(), 0u);
         EXPECT_GT(events.poolSlots(), 0u);
-    };
 
-    ExecStats serial;
-    run_engine(false, 1, &serial);
-    ASSERT_TRUE(serial.aborted);
-
-    for (int threads : { 1, 4 }) {
-        SCOPED_TRACE(threads);
-        ExecStats par;
-        run_engine(true, threads, &par);
-        EXPECT_TRUE(par.aborted);
-        EXPECT_EQ(serial.abortReason, par.abortReason);
-        EXPECT_EQ(serial.endNs, par.endNs);
-        EXPECT_EQ(serial.blockedLinks, par.blockedLinks);
-        EXPECT_EQ(serial.firedFaults, par.firedFaults);
-        EXPECT_EQ(serial.faultsSeen, par.faultsSeen);
+        if (threads == 1) {
+            ref = stats;
+            continue;
+        }
+        EXPECT_EQ(ref.abortReason, stats.abortReason);
+        EXPECT_EQ(ref.endNs, stats.endNs);
+        EXPECT_EQ(ref.blockedLinks, stats.blockedLinks);
+        EXPECT_EQ(ref.firedFaults, stats.firedFaults);
     }
 }
 

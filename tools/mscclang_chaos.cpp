@@ -60,8 +60,6 @@ usage()
         "  --data             move real floats (slower, validates "
         "buffers)\n"
         "  --sim-threads <n>  simulation worker threads (default 1)\n"
-        "  --parallel-interp  parallel interpreter engine (same\n"
-        "                     matrix at any --sim-threads)\n"
         "  --profile          print a wall-clock phase breakdown of\n"
         "                     the whole sweep after the matrix\n");
 }
@@ -120,7 +118,6 @@ main(int argc, char **argv)
     std::string csv_path;
     bool data_mode = false;
     int sim_threads = 1;
-    bool parallel_interp = false;
     bool profile_on = false;
     for (int i = 1; i < argc; i++) {
         std::string flag = argv[i];
@@ -150,8 +147,6 @@ main(int argc, char **argv)
             else if (flag == "--data") data_mode = true;
             else if (flag == "--sim-threads")
                 sim_threads = std::stoi(value());
-            else if (flag == "--parallel-interp")
-                parallel_interp = true;
             else if (flag == "--profile") profile_on = true;
             else if (flag == "--help" || flag == "-h") {
                 usage();
@@ -274,7 +269,6 @@ main(int argc, char **argv)
                 run.bytes = bytes;
                 run.dataMode = data_mode;
                 run.simThreads = sim_threads;
-                run.parallelInterp = parallel_interp;
                 run.profile = profile_on ? &profile : nullptr;
                 run.watchdogNoProgressUs =
                     std::max(200.0, healthy_us);
@@ -328,20 +322,12 @@ main(int argc, char **argv)
                 "\nphase breakdown (wall clock, whole sweep):\n"
                 "  event queue     %10.1f us  (%llu serial events)\n"
                 "  flow network    %10.1f us  (%llu batches)\n"
-                "  flow callbacks  %10.1f us\n"
-                "  interp parallel %10.1f us  (%llu batches, "
-                "%llu pooled)\n"
-                "  interp merge    %10.1f us\n",
+                "  flow callbacks  %10.1f us\n",
                 us(profile.eventQueueNs),
                 static_cast<unsigned long long>(profile.serialEvents),
                 us(profile.flowNetworkNs),
                 static_cast<unsigned long long>(profile.flowBatches),
-                us(profile.flowCallbacksNs),
-                us(profile.interpParallelNs),
-                static_cast<unsigned long long>(profile.interpBatches),
-                static_cast<unsigned long long>(
-                    profile.interpPooledBatches),
-                us(profile.interpMergeNs));
+                us(profile.flowCallbacksNs));
         }
 
         if (!csv_path.empty()) {

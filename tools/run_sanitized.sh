@@ -26,10 +26,10 @@
 # With --tsan, builds a third tree with ThreadSanitizer instead
 # (-DMSCCLANG_TSAN=ON; TSan cannot link with ASan) and runs the
 # suites that actually spin threads: the flow network's shard batch
-# workers (Sim), the parallel interpreter's rank batches (Interp*,
-# Determinism's ParallelInterp sweeps), the simThreads determinism
-# sweeps (Determinism), the fault path that mutates capacities
-# between batches (Faults), the schedule search's budget-leased
+# workers (Sim), the simThreads determinism sweeps (Determinism),
+# the watchdog abort path at several thread counts (Watchdog), the
+# fault path that mutates capacities between batches (Faults), the
+# schedule search's budget-leased
 # sweep worker pool (Search, SimThreadLease), and the race verifier's
 # threaded per-rank driver across worker counts (Races,
 # Hierarchical), and the tuner's sweep on the same pool (Tuner). TSan
@@ -57,7 +57,7 @@ fi
 if [[ "$TSAN" == "1" ]]; then
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     SANITIZE_FLAG="-DMSCCLANG_TSAN=ON"
-    FILTER="${1:-Sim|Interp|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|Races|Tuner}"
+    FILTER="${1:-Sim|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|Races|Tuner}"
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
