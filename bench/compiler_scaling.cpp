@@ -14,6 +14,9 @@
  * Every cold cell also records the per-pass split from
  * CompileStats (critical path, lower, fuse, schedule, verifyIr), each
  * pass's fastest sample, so a change in a cell is pinned to a pass.
+ * Verify-on cells add the race check (verifyRaceFree), timed on the
+ * compiled IR outside cold_ms, so cold_ms stays comparable with the
+ * frozen seed numbers.
  *
  * A replan proxy times the exact compile the Communicator's
  * replanProgram() pays after a link failure (verify on, the plan
@@ -35,6 +38,7 @@
 
 #include "collectives/collectives.h"
 #include "compiler/plan_cache.h"
+#include "compiler/verifier.h"
 
 using namespace mscclang;
 
@@ -116,6 +120,8 @@ struct PassMs
     double fuse = criticalPath;
     double schedule = criticalPath;
     double verify = criticalPath;
+    /** verifyRaceFree on the compiled IR; < 0 when not timed. */
+    double raceCheck = -1.0;
 
     void
     fold(const CompileStats &stats)
@@ -127,15 +133,28 @@ struct PassMs
         verify = std::min(verify, stats.verifyNs * 1e-6);
     }
 
+    /** Times the race check on @p ir: its fastest of @p batches. */
+    void
+    timeRaceCheck(const IrProgram &ir, int batches, int reps)
+    {
+        raceCheck = minBatchMs(batches, reps,
+                               [&] { verifyRaceFree(ir, 1); });
+    }
+
     std::string
     json() const
     {
         char buf[256];
-        std::snprintf(buf, sizeof buf,
-                      "{\"critical_path\": %.4f, \"lower\": %.4f, "
-                      "\"fuse\": %.4f, \"schedule\": %.4f, "
-                      "\"verify_ir\": %.4f}",
-                      criticalPath, lower, fuse, schedule, verify);
+        int len = std::snprintf(
+            buf, sizeof buf,
+            "{\"critical_path\": %.4f, \"lower\": %.4f, "
+            "\"fuse\": %.4f, \"schedule\": %.4f, \"verify_ir\": %.4f",
+            criticalPath, lower, fuse, schedule, verify);
+        if (raceCheck >= 0.0) {
+            len += std::snprintf(buf + len, sizeof buf - len,
+                                 ", \"race_check\": %.4f", raceCheck);
+        }
+        std::snprintf(buf + len, sizeof buf - len, "}");
         return buf;
     }
 };
@@ -199,13 +218,17 @@ main(int argc, char **argv)
                 // Tracing is included — a user (or the replanner)
                 // always pays it together with the compile.
                 PassMs passes;
+                IrProgram ir;
                 double cold = minBatchMs(3, reps, [&] {
                     auto prog = makeBenchProgram(c, ranks);
                     Compiled out = compileProgram(*prog, copts);
                     if (out.ir.numRanks != ranks)
                         std::abort();
                     passes.fold(out.stats);
+                    ir = std::move(out.ir);
                 });
+                if (copts.verify)
+                    passes.timeRaceCheck(ir, 3, reps);
 
                 // Warm: a primed cache answers the same request —
                 // key fingerprint + lookup + plan copy. The program
@@ -245,15 +268,19 @@ main(int argc, char **argv)
     }
     std::printf("# per-pass ms of the cold compiles (fastest sample "
                 "per pass)\n");
-    std::printf("%-16s %5s %-7s %9s %9s %9s %9s %9s\n", "collective",
-                "ranks", "verify", "crit_path", "lower", "fuse",
-                "schedule", "verify_ir");
+    std::printf("%-16s %5s %-7s %9s %9s %9s %9s %9s %10s\n",
+                "collective", "ranks", "verify", "crit_path", "lower",
+                "fuse", "schedule", "verify_ir", "race_check");
     for (const Cell &cell : cells) {
-        std::printf("%-16s %5d %-7s %9.4f %9.4f %9.4f %9.4f %9.4f\n",
+        std::printf("%-16s %5d %-7s %9.4f %9.4f %9.4f %9.4f %9.4f ",
                     cell.collective, cell.ranks,
                     cell.verify ? "on" : "off", cell.passes.criticalPath,
                     cell.passes.lower, cell.passes.fuse,
                     cell.passes.schedule, cell.passes.verify);
+        if (cell.passes.raceCheck >= 0.0)
+            std::printf("%10.4f\n", cell.passes.raceCheck);
+        else
+            std::printf("%10s\n", "-");
     }
 
     std::vector<Cell> big_cells;
@@ -261,22 +288,26 @@ main(int argc, char **argv)
         const char *big_names[2] = { "ring_allreduce",
                                      "hierarchical_allreduce" };
         std::printf("# --big-ranks — verify-on compiles at scale "
-                    "(single samples)\n");
-        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s\n",
+                    "(min of 3 batches x 1)\n");
+        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s %10s\n",
                     "collective", "ranks", "cold_ms", "warm_ms",
                     "crit_path", "lower", "fuse", "schedule",
-                    "verify_ir");
+                    "verify_ir", "race_check");
         for (int c = 0; c < 2; c++) {
             for (int ranks : kBigRankSteps) {
                 CompileOptions copts; // verify defaults on
                 PassMs passes;
-                double cold = minBatchMs(1, 1, [&] {
+                IrProgram ir;
+                double cold = minBatchMs(3, 1, [&] {
                     auto prog = makeBigProgram(c, ranks);
                     Compiled out = compileProgram(*prog, copts);
                     if (out.ir.numRanks != ranks)
                         std::abort();
                     passes.fold(out.stats);
+                    ir = std::move(out.ir);
                 });
+                passes.timeRaceCheck(ir, 3, 1);
+                ir = IrProgram();
                 PlanCache cache(4);
                 auto warm_prog = makeBigProgram(c, ranks);
                 cache.compile(*warm_prog, copts);
@@ -290,9 +321,10 @@ main(int argc, char **argv)
                 big_cells.push_back(Cell{ big_names[c], ranks, true,
                                           cold, warm, 0.0, passes });
                 std::printf("%-22s %5d %10.1f %10.4f %9.1f %9.1f %9.1f "
-                            "%9.1f %9.1f\n", big_names[c], ranks, cold,
-                            warm, passes.criticalPath, passes.lower,
-                            passes.fuse, passes.schedule, passes.verify);
+                            "%9.1f %9.1f %10.1f\n", big_names[c], ranks,
+                            cold, warm, passes.criticalPath, passes.lower,
+                            passes.fuse, passes.schedule, passes.verify,
+                            passes.raceCheck);
             }
         }
     }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "compiler/frac.h"
-#include "sim/worker_pool.h"
 
 namespace mscclang {
 
@@ -541,19 +539,45 @@ struct HbNode
  * The happens-before graph of an IR program in CSR form: thread
  * block program order, cross-thread-block dependencies, and
  * FIFO-matched communication edges. Nodes are instructions with a
- * stable global index, densely addressed by (rank, tb, step).
+ * stable global index, densely addressed by (rank, tb, step): a
+ * block's steps are consecutive nodes, and each rank lists its blocks
+ * in numbering order, so walking them visits its nodes in ascending
+ * index order.
  */
 struct HbGraph
 {
     std::vector<HbNode> nodes;
     int numRanks = 0;
+    std::vector<std::vector<int>> tbBase; // [rank][tb]: node of step 0, or -1
+    std::vector<std::vector<int>> tbLen;  // [rank][tb]: step count
+    std::vector<std::vector<int>> rankTbs; // [rank]: tb ids, numbering order
     std::vector<int> succOff; // successors of v: succ[succOff[v]..succOff[v+1])
     std::vector<int> succ;
-    std::vector<int> indeg;
 
     int n() const { return static_cast<int>(nodes.size()); }
+
+    /** Node of (rank, tb, step), or -1 if there is no such step. */
+    int
+    lookup(Rank rank, int tb, int step) const
+    {
+        if (rank < 0 || rank >= numRanks)
+            return -1;
+        const std::vector<int> &base = tbBase[rank];
+        if (tb < 0 || tb >= static_cast<int>(base.size()) || base[tb] < 0)
+            return -1;
+        if (step < 0 || step >= tbLen[rank][tb])
+            return -1;
+        return base[tb] + step;
+    }
 };
 
+/**
+ * Builds the graph in linear time: edges are counted per source,
+ * then written straight into the CSR arrays. Communication edges pair
+ * the k-th send on a connection with its k-th receive; connections
+ * are bucketed by dense id, numbered in sorted key order so an
+ * imbalance names the lowest (src, dst, channel) connection.
+ */
 HbGraph
 buildHbGraph(const IrProgram &ir)
 {
@@ -566,11 +590,18 @@ buildHbGraph(const IrProgram &ir)
         num_ranks = std::max(num_ranks, gpu.rank + 1);
     }
     g.numRanks = num_ranks;
-    std::vector<std::vector<int>> tb_base(num_ranks);
-    std::vector<std::vector<int>> tb_len(num_ranks);
+    g.tbBase.resize(num_ranks);
+    g.tbLen.resize(num_ranks);
+    g.rankTbs.resize(num_ranks);
+    size_t num_steps = 0;
     for (const IrGpu &gpu : ir.gpus) {
-        std::vector<int> &base = tb_base[gpu.rank];
-        std::vector<int> &len = tb_len[gpu.rank];
+        for (const IrThreadBlock &tb : gpu.threadBlocks)
+            num_steps += tb.steps.size();
+    }
+    g.nodes.reserve(num_steps);
+    for (const IrGpu &gpu : ir.gpus) {
+        std::vector<int> &base = g.tbBase[gpu.rank];
+        std::vector<int> &len = g.tbLen[gpu.rank];
         for (const IrThreadBlock &tb : gpu.threadBlocks) {
             if (tb.id < 0)
                 throw VerificationError(
@@ -579,8 +610,14 @@ buildHbGraph(const IrProgram &ir)
                 base.resize(tb.id + 1, -1);
                 len.resize(tb.id + 1, 0);
             }
+            if (base[tb.id] >= 0) {
+                throw VerificationError(strprintf(
+                    "race check: rank %d names thread block %d twice",
+                    gpu.rank, tb.id));
+            }
             base[tb.id] = static_cast<int>(g.nodes.size());
             len[tb.id] = static_cast<int>(tb.steps.size());
+            g.rankTbs[gpu.rank].push_back(tb.id);
             for (size_t s = 0; s < tb.steps.size(); s++) {
                 g.nodes.push_back(HbNode{ gpu.rank, tb.id,
                                           static_cast<int>(s),
@@ -589,109 +626,114 @@ buildHbGraph(const IrProgram &ir)
         }
     }
     int n = g.n();
-    auto lookup = [&](Rank rank, int tb, int step) {
-        if (rank < 0 || rank >= num_ranks)
-            return -1;
-        const std::vector<int> &base = tb_base[rank];
-        if (tb < 0 || tb >= static_cast<int>(base.size()) ||
-            base[tb] < 0) {
-            return -1;
-        }
-        if (step < 0 || step >= tb_len[rank][tb])
-            return -1;
-        return base[tb] + step;
+    auto has_next = [&](int v) {
+        return g.nodes[v].step + 1 <
+            static_cast<int>(g.nodes[v].block->steps.size());
+    };
+    auto dep_source = [&](int v, const IrDep &dep) {
+        int from = g.lookup(g.nodes[v].rank, dep.tb, dep.step);
+        if (from < 0)
+            throw VerificationError(
+                "race check: dependency on unknown instruction");
+        return from;
     };
 
-    std::vector<std::pair<int, int>> edges;
-    // (a) thread block program order
-    for (int i = 0; i < n; i++) {
-        if (g.nodes[i].step + 1 < static_cast<int>(
-                g.nodes[i].block->steps.size())) {
-            edges.push_back({ i, lookup(g.nodes[i].rank, g.nodes[i].tb,
-                                        g.nodes[i].step + 1) });
-        }
+    // Count edges: out-degrees land in succOff[v + 1].
+    g.succOff.assign(n + 1, 0);
+    for (int v = 0; v < n; v++) {
+        if (has_next(v))
+            g.succOff[v + 1]++; // (a) thread block program order
+        for (const IrDep &dep : g.nodes[v].instr->deps)
+            g.succOff[dep_source(v, dep) + 1]++; // (b) cross-tb deps
     }
-    // (b) cross thread block dependencies
-    for (int i = 0; i < n; i++) {
-        for (const IrDep &dep : g.nodes[i].instr->deps) {
-            int from = lookup(g.nodes[i].rank, dep.tb, dep.step);
-            if (from < 0)
-                throw VerificationError(
-                    "race check: dependency on unknown instruction");
-            edges.push_back({ from, i });
-        }
-    }
+
     // (c) communication edges: the k-th send on a connection
     //     happens-before the k-th receive (FIFO pairing). Every send
     //     must have a matched receive and vice versa — an imbalance
     //     would leave the surplus operations with no happens-before
     //     edge and silently weaken the analysis, so it is rejected.
-    //     Sort-based pairing: connection keys pack (src, dst,
-    //     channel) most-significant-first, so sorted key order is the
-    //     tuple order the ordered-map implementation reported in.
-    struct ConnEnd
-    {
-        ConnKey key;
-        int node;
+    //     A block's sends share one key and so do its receives, so
+    //     keys are gathered (and looked up) once per block.
+    auto send_key = [](const HbNode &v) {
+        return connKeyOf(v.rank, v.block->sendPeer, v.block->channel);
     };
-    std::vector<ConnEnd> sends, recvs;
-    for (int i = 0; i < n; i++) {
-        if (irOpSends(g.nodes[i].instr->op)) {
-            sends.push_back(ConnEnd{
-                connKeyOf(g.nodes[i].rank, g.nodes[i].block->sendPeer,
-                          g.nodes[i].block->channel), i });
+    auto recv_key = [](const HbNode &v) {
+        return connKeyOf(v.block->recvPeer, v.rank, v.block->channel);
+    };
+    std::vector<ConnKey> conns;
+    for (int v = 0; v < n; v++) {
+        if (v > 0 && g.nodes[v].block == g.nodes[v - 1].block)
+            continue;
+        conns.push_back(send_key(g.nodes[v]));
+        conns.push_back(recv_key(g.nodes[v]));
+    }
+    std::sort(conns.begin(), conns.end());
+    conns.erase(std::unique(conns.begin(), conns.end()), conns.end());
+    int num_conns = static_cast<int>(conns.size());
+    std::vector<int> send_conn(n, -1), recv_conn(n, -1);
+    int block_send = -1, block_recv = -1;
+    auto conn_id = [&](ConnKey key) {
+        return static_cast<int>(
+            std::lower_bound(conns.begin(), conns.end(), key) -
+            conns.begin());
+    };
+    std::vector<int> sends(num_conns, 0);
+    std::vector<int> recv_off(num_conns + 1, 0);
+    for (int v = 0; v < n; v++) {
+        const HbNode &node = g.nodes[v];
+        if (v == 0 || node.block != g.nodes[v - 1].block) {
+            block_send = conn_id(send_key(node));
+            block_recv = conn_id(recv_key(node));
         }
-        if (irOpReceives(g.nodes[i].instr->op)) {
-            recvs.push_back(ConnEnd{
-                connKeyOf(g.nodes[i].block->recvPeer, g.nodes[i].rank,
-                          g.nodes[i].block->channel), i });
+        if (irOpSends(node.instr->op)) {
+            send_conn[v] = block_send;
+            sends[block_send]++;
+        }
+        if (irOpReceives(node.instr->op)) {
+            recv_conn[v] = block_recv;
+            recv_off[block_recv + 1]++;
         }
     }
-    auto by_key_node = [](const ConnEnd &a, const ConnEnd &b) {
-        return std::tie(a.key, a.node) < std::tie(b.key, b.node);
-    };
-    std::sort(sends.begin(), sends.end(), by_key_node);
-    std::sort(recvs.begin(), recvs.end(), by_key_node);
-    size_t si = 0, ri = 0;
-    while (si < sends.size() || ri < recvs.size()) {
-        ConnKey key;
-        if (ri >= recvs.size() ||
-            (si < sends.size() && sends[si].key <= recvs[ri].key)) {
-            key = sends[si].key;
-        } else {
-            key = recvs[ri].key;
-        }
-        size_t se = si, re = ri;
-        while (se < sends.size() && sends[se].key == key)
-            se++;
-        while (re < recvs.size() && recvs[re].key == key)
-            re++;
-        if (se - si != re - ri) {
-            throw VerificationError(strprintf(
-                "race check: connection %d -> %d channel %d has %zu "
-                "sends but %zu receives; FIFO pairing requires equal "
-                "counts", static_cast<int>(key >> 43),
-                static_cast<int>((key >> 22) & 0x1FFFFF),
-                static_cast<int>(key & 0x3FFFFF), se - si, re - ri));
-        }
-        for (size_t k = 0; si + k < se; k++)
-            edges.push_back({ sends[si + k].node, recvs[ri + k].node });
-        si = se;
-        ri = re;
+    for (int c = 0; c < num_conns; c++) {
+        if (sends[c] == recv_off[c + 1])
+            continue;
+        ConnKey key = conns[c];
+        throw VerificationError(strprintf(
+            "race check: connection %d -> %d channel %d has %d "
+            "sends but %d receives; FIFO pairing requires equal "
+            "counts", static_cast<int>(key >> 43),
+            static_cast<int>((key >> 22) & 0x1FFFFF),
+            static_cast<int>(key & 0x3FFFFF), sends[c],
+            recv_off[c + 1]));
     }
+    for (int c = 0; c < num_conns; c++)
+        recv_off[c + 1] += recv_off[c];
+    // Each connection's receives in node order; taken[c] counts the
+    // ones already paired with a send.
+    std::vector<int> recvs(recv_off[num_conns]);
+    std::vector<int> taken(num_conns, 0);
+    for (int v = 0; v < n; v++) {
+        if (send_conn[v] >= 0)
+            g.succOff[v + 1]++;
+        int c = recv_conn[v];
+        if (c >= 0)
+            recvs[recv_off[c] + taken[c]++] = v;
+    }
+    std::fill(taken.begin(), taken.end(), 0);
 
-    g.succOff.assign(n + 1, 0);
-    g.indeg.assign(n, 0);
-    for (const auto &[from, to] : edges) {
-        g.succOff[from + 1]++;
-        g.indeg[to]++;
-    }
     for (int v = 0; v < n; v++)
         g.succOff[v + 1] += g.succOff[v];
-    g.succ.resize(edges.size());
+    g.succ.resize(g.succOff[n]);
     std::vector<int> cursor(g.succOff.begin(), g.succOff.end() - 1);
-    for (const auto &[from, to] : edges)
-        g.succ[cursor[from]++] = to;
+    for (int v = 0; v < n; v++) {
+        if (has_next(v))
+            g.succ[cursor[v]++] = v + 1;
+        for (const IrDep &dep : g.nodes[v].instr->deps)
+            g.succ[cursor[dep_source(v, dep)]++] = v;
+        int c = send_conn[v];
+        if (c >= 0)
+            g.succ[cursor[v]++] = recvs[recv_off[c] + taken[c]++];
+    }
     return g;
 }
 
@@ -702,7 +744,9 @@ topoOrderOf(const HbGraph &g)
     int n = g.n();
     std::vector<int> order;
     order.reserve(n);
-    std::vector<int> degree = g.indeg;
+    std::vector<int> degree(n, 0);
+    for (int w : g.succ)
+        degree[w]++;
     std::vector<int> ready;
     for (int i = 0; i < n; i++) {
         if (degree[i] == 0)
@@ -733,41 +777,6 @@ struct LocEntry
     FracInterval range;
 };
 
-/**
- * Every buffer access, partitioned by rank: conflicts always live on
- * one rank, so each rank's accesses are checked independently.
- */
-std::vector<std::vector<LocEntry>>
-recordAccesses(const HbGraph &g, const IrProgram &ir)
-{
-    std::vector<std::vector<LocEntry>> rank_accesses(g.numRanks);
-    auto record = [&](int node, BufferKind buf, int off, bool write) {
-        const IrInstruction &instr = *g.nodes[node].instr;
-        FracInterval range =
-            splitFraction(instr.splitIdx, instr.splitCount);
-        BufferKind canonical = buf;
-        if (ir.inPlace && buf == BufferKind::Output)
-            canonical = BufferKind::Input;
-        for (int k = 0; k < instr.count; k++) {
-            rank_accesses[g.nodes[node].rank].push_back(
-                LocEntry{ static_cast<int>(canonical), off + k, node,
-                          write, range });
-        }
-    };
-    for (int i = 0; i < g.n(); i++) {
-        const IrInstruction &instr = *g.nodes[i].instr;
-        if (irOpReadsSrc(instr.op))
-            record(i, instr.srcBuf, instr.srcOff, false);
-        if (instr.op == IrOp::Reduce ||
-            instr.op == IrOp::RecvReduceCopy) {
-            record(i, instr.dstBuf, instr.dstOff, false);
-        }
-        if (irOpWritesDst(instr.op))
-            record(i, instr.dstBuf, instr.dstOff, true);
-    }
-    return rank_accesses;
-}
-
 /** A conflicting access pair whose ordering must be proven. */
 struct ConflictPair
 {
@@ -776,16 +785,44 @@ struct ConflictPair
 };
 
 /**
- * Enumerates one rank's conflict pairs — same location, overlapping
- * fractions, at least one write, different thread blocks — in
- * (buffer, chunk, first access, second access) order. The first
- * unordered pair in this order is the one an error message names.
+ * Enumerates rank @p rank's conflict pairs — same location,
+ * overlapping fractions, at least one write, different thread blocks
+ * — in (buffer, chunk, first access, second access) order.
+ * Conflicting accesses always live on one rank. The first unordered
+ * pair in this order is the one an error message names.
  */
 std::vector<ConflictPair>
-conflictPairs(const HbGraph &g, std::vector<LocEntry> &entries)
+conflictPairs(const HbGraph &g, const IrProgram &ir, Rank rank)
 {
-    // Group by location, keeping node order within each group
-    // (entries were recorded in ascending node order).
+    std::vector<LocEntry> entries;
+    auto record = [&](int node, BufferKind buf, int off, bool write) {
+        const IrInstruction &instr = *g.nodes[node].instr;
+        FracInterval range =
+            splitFraction(instr.splitIdx, instr.splitCount);
+        BufferKind canonical = buf;
+        if (ir.inPlace && buf == BufferKind::Output)
+            canonical = BufferKind::Input;
+        for (int k = 0; k < instr.count; k++) {
+            entries.push_back(LocEntry{ static_cast<int>(canonical),
+                                        off + k, node, write, range });
+        }
+    };
+    // Recorded in ascending node order.
+    for (int tb : g.rankTbs[rank]) {
+        int first = g.tbBase[rank][tb];
+        for (int i = first; i < first + g.tbLen[rank][tb]; i++) {
+            const IrInstruction &instr = *g.nodes[i].instr;
+            if (irOpReadsSrc(instr.op))
+                record(i, instr.srcBuf, instr.srcOff, false);
+            if (instr.op == IrOp::Reduce ||
+                instr.op == IrOp::RecvReduceCopy) {
+                record(i, instr.dstBuf, instr.dstOff, false);
+            }
+            if (irOpWritesDst(instr.op))
+                record(i, instr.dstBuf, instr.dstOff, true);
+        }
+    }
+    // Group by location, keeping node order within each group.
     std::stable_sort(entries.begin(), entries.end(),
                      [](const LocEntry &a, const LocEntry &b) {
                          return std::tie(a.buffer, a.chunk) <
@@ -836,8 +873,70 @@ raceMessage(const HbGraph &g, const ConflictPair &pair)
 }
 
 /**
+ * Rank-local phase. Sweeps @p rank's @p topo nodes (the rank's nodes
+ * in topological order) over the rank's own edges only — program
+ * order and cross-thread-block deps — carrying per node one clock
+ * per thread block that holds a pair member: the highest step of
+ * that block that is an ancestor. A block's steps are a total order,
+ * so (a, b) is ordered by a local path exactly when b's clock for
+ * a's block reaches a's step, or the other way round. A local path is
+ * also a global one. Returns the pairs no local path orders, in
+ * their input order. Cost: the rank's nodes and deps times its
+ * clock count.
+ */
+std::vector<ConflictPair>
+locallyUnordered(const HbGraph &g, Rank rank, const int *topo,
+                 const std::vector<ConflictPair> &pairs)
+{
+    const std::vector<int> &len = g.tbLen[rank];
+    int num_tbs = static_cast<int>(len.size());
+    std::vector<int> first_slot(num_tbs);
+    int slots = 0;
+    for (int tb = 0; tb < num_tbs; tb++) {
+        first_slot[tb] = slots;
+        slots += len[tb];
+    }
+    std::vector<int> col(num_tbs, -1);
+    int cols = 0;
+    for (const ConflictPair &pair : pairs) {
+        for (int v : { pair.a, pair.b }) {
+            if (col[g.nodes[v].tb] < 0)
+                col[g.nodes[v].tb] = cols++;
+        }
+    }
+    std::vector<int> clocks(static_cast<size_t>(slots) * cols, -1);
+    auto clock = [&](int tb, int step) {
+        return &clocks[static_cast<size_t>(first_slot[tb] + step) * cols];
+    };
+    for (int i = 0; i < slots; i++) {
+        const HbNode &v = g.nodes[topo[i]];
+        int *mine = clock(v.tb, v.step);
+        if (v.step > 0)
+            std::copy_n(clock(v.tb, v.step - 1), cols, mine);
+        if (col[v.tb] >= 0)
+            mine[col[v.tb]] = v.step;
+        for (const IrDep &dep : v.instr->deps) {
+            const int *from = clock(dep.tb, dep.step);
+            for (int c = 0; c < cols; c++)
+                mine[c] = std::max(mine[c], from[c]);
+        }
+    }
+    auto precedes = [&](int a, int b) {
+        const HbNode &na = g.nodes[a];
+        const HbNode &nb = g.nodes[b];
+        return clock(nb.tb, nb.step)[col[na.tb]] >= na.step;
+    };
+    std::vector<ConflictPair> open;
+    for (const ConflictPair &pair : pairs) {
+        if (!precedes(pair.a, pair.b) && !precedes(pair.b, pair.a))
+            open.push_back(pair);
+    }
+    return open;
+}
+
+/**
  * The happens-before graph relabelled by topological position: node
- * order[p] becomes p. The per-rank sweep then reads ancestor rows in
+ * order[p] becomes p. The fallback sweep then reads ancestor rows in
  * ascending memory order and writes only rows ahead of the one it
  * reads, instead of hopping across ranks in node-id order.
  */
@@ -869,18 +968,15 @@ relabelByTopoOrder(const HbGraph &g, const std::vector<int> &order)
 }
 
 /**
- * Per-rank check: candidate columns are the rank's conflicting
- * instructions, and ancestor bits propagate over the whole graph in
- * topological order.
+ * Exact fallback for the pairs the local phase left open: one
+ * ancestor bit column per pair member, propagated over the whole
+ * graph in topological order. Returns the first unordered pair's
+ * message, or "" when every pair is ordered.
  */
 std::string
-checkRank(const HbGraph &g, const TopoGraph &t,
-          std::vector<LocEntry> &entries)
+firstUnordered(const HbGraph &g, const TopoGraph &t,
+               const std::vector<ConflictPair> &pairs)
 {
-    std::vector<ConflictPair> pairs = conflictPairs(g, entries);
-    if (pairs.empty())
-        return std::string();
-
     int n = g.n();
     std::vector<int> cols(n, -1); // by topological position
     int num_cols = 0;
@@ -922,61 +1018,54 @@ checkRank(const HbGraph &g, const TopoGraph &t,
     return std::string();
 }
 
-/** Worker-count resolution: 0 picks a hardware-sized default. */
-int
-resolveThreads(int threads)
-{
-    if (threads > 0)
-        return threads;
-    return static_cast<int>(std::min(
-        16u, std::max(1u, std::thread::hardware_concurrency())));
-}
-
-/**
- * Per-rank parallel driver: ranks with conflict candidates fan out
- * over the simulation worker pool (capped at hardware concurrency),
- * and the lowest failing rank's message wins, matching the serial
- * whole-map sweep that visited locations in (rank, buffer, chunk)
- * order.
- */
-template <typename CheckRank>
-void
-driveRankChecks(const HbGraph &g,
-                std::vector<std::vector<LocEntry>> &rank_accesses,
-                int resolved, const CheckRank &check_rank)
-{
-    std::vector<int> work;
-    for (int r = 0; r < g.numRanks; r++) {
-        if (rank_accesses[r].size() > 1)
-            work.push_back(r);
-    }
-    std::vector<std::string> errors(g.numRanks);
-    resolved = std::min<int>(resolved, static_cast<int>(work.size()));
-    // Small programs aren't worth the thread spawns.
-    if (g.n() < 4096)
-        resolved = 1;
-    SimWorkerPool(resolved).forEach(work.size(), [&](std::size_t w) {
-        errors[work[w]] = check_rank(rank_accesses[work[w]]);
-    });
-    for (int r = 0; r < g.numRanks; r++) {
-        if (!errors[r].empty())
-            throw VerificationError(errors[r]);
-    }
-}
-
 } // namespace
 
 void
-verifyRaceFree(const IrProgram &ir, int threads)
+verifyRaceFree(const IrProgram &ir, int /* threads */)
 {
     HbGraph g = buildHbGraph(ir);
-    TopoGraph t = relabelByTopoOrder(g, topoOrderOf(g));
-    std::vector<std::vector<LocEntry>> rank_accesses =
-        recordAccesses(g, ir);
-    driveRankChecks(g, rank_accesses, resolveThreads(threads),
-                    [&](std::vector<LocEntry> &entries) {
-                        return checkRank(g, t, entries);
-                    });
+    std::vector<int> order = topoOrderOf(g);
+    // A rank with one thread block has no cross-block pairs.
+    std::vector<std::vector<ConflictPair>> pairs(g.numRanks);
+    for (Rank r = 0; r < g.numRanks; r++) {
+        if (g.rankTbs[r].size() > 1)
+            pairs[r] = conflictPairs(g, ir, r);
+    }
+
+    // The nodes of every rank with pairs, bucketed by rank in
+    // topological order.
+    std::vector<int> rank_off(g.numRanks + 1, 0);
+    for (int v : order) {
+        if (!pairs[g.nodes[v].rank].empty())
+            rank_off[g.nodes[v].rank + 1]++;
+    }
+    for (Rank r = 0; r < g.numRanks; r++)
+        rank_off[r + 1] += rank_off[r];
+    std::vector<int> rank_topo(rank_off[g.numRanks]);
+    std::vector<int> fill(rank_off.begin(), rank_off.end() - 1);
+    for (int v : order) {
+        if (!pairs[g.nodes[v].rank].empty())
+            rank_topo[fill[g.nodes[v].rank]++] = v;
+    }
+
+    // Ranks in ascending order, so the lowest failing rank's message
+    // wins. The whole-graph relabel is built only if some rank needs
+    // the fallback: the first globally unordered pair is always one
+    // the local phase left open.
+    std::optional<TopoGraph> topo;
+    for (Rank r = 0; r < g.numRanks; r++) {
+        if (pairs[r].empty())
+            continue;
+        std::vector<ConflictPair> open = locallyUnordered(
+            g, r, rank_topo.data() + rank_off[r], pairs[r]);
+        if (open.empty())
+            continue;
+        if (!topo)
+            topo = relabelByTopoOrder(g, order);
+        std::string error = firstUnordered(g, *topo, open);
+        if (!error.empty())
+            throw VerificationError(error);
+    }
 }
 
 } // namespace mscclang

@@ -62,19 +62,18 @@ void verifyIr(const IrProgram &ir, const Collective &collective,
  * then demands every pair of conflicting accesses (same location,
  * overlapping byte fractions, at least one write) be ordered.
  *
- * Conflicting accesses always live on one rank, so reachability is
- * computed per rank over only that rank's candidate instructions
- * (bitset columns restricted to the candidate set, propagated over
- * the happens-before graph in topological order); ranks with no
- * cross-thread-block conflict pairs are skipped outright, and the
- * per-rank checks run on the simulation worker pool for large
- * programs.
- * The lowest failing rank's message wins, so verdicts and error
- * messages are identical for every thread count.
+ * Conflicting accesses always live on one rank. Each rank's pairs
+ * first meet a rank-local phase: one clock per thread block, swept
+ * over the rank's program order and cross thread block dependencies.
+ * That orders every conflict the compiler emits. Pairs it leaves
+ * open fall back to an exact ancestor-bitset sweep over the whole
+ * graph. Cost: O(instructions × thread blocks per rank), plus the
+ * fallback on unresolved ranks only. The lowest failing rank's first
+ * unordered pair is reported.
  *
- * @param threads worker count for the per-rank checks, capped at
- *        hardware concurrency like every SimWorkerPool; 0 picks a
- *        hardware-sized default, 1 forces the serial path.
+ * @param threads ignored: the check runs on the calling thread. Kept
+ *        so existing callers compile; every value gives the same
+ *        verdict.
  * @throws VerificationError naming the first unordered conflict.
  */
 void verifyRaceFree(const IrProgram &ir, int threads = 0);

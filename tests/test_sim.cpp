@@ -3,11 +3,13 @@
  * Unit tests for the simulation substrate: the discrete-event queue
  * (ordering, same-time FIFO, cancellation) and the flow-level
  * network model (rate caps, max-min fair sharing, conservation,
- * completion timing).
+ * completion timing), and the worker pool's lane cap.
  */
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,9 +17,23 @@
 #include "common/error.h"
 #include "sim/event_queue.h"
 #include "sim/flow_network.h"
+#include "sim/worker_pool.h"
 
 namespace mscclang {
 namespace {
+
+TEST(SimWorkerPool, LanesAreCappedAtHardwareConcurrency)
+{
+    // A request above hardware concurrency gets the cap, unless the
+    // sanitizer override lifts it. One lane past the cap keeps the
+    // check cheap.
+    unsigned hw = std::thread::hardware_concurrency();
+    int cap = hw > 0 ? static_cast<int>(hw) : 1;
+    bool uncapped =
+        std::getenv("MSCCLANG_SIM_THREADS_UNCAPPED") != nullptr;
+    EXPECT_EQ(SimWorkerPool(cap + 1).threads(),
+              uncapped ? cap + 1 : cap);
+}
 
 TEST(EventQueue, RunsInTimeOrder)
 {

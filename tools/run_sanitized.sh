@@ -5,8 +5,8 @@
 # arena and ring inboxes, the event queue's callback slots, the
 # fault/watchdog abort paths that recycle both mid-kernel, and the
 # compiler's shared paths — the plan cache's locked LRU + disk spill
-# and the parallel race verifier's per-rank thread pool — the XML
-# reader and the structural-index checks on loaded IR (Xml), plus the
+# and the race verifier's clock and bitset index arithmetic (Races) —
+# the XML reader and the structural-index checks on loaded IR (Xml), plus the
 # workload replay engine (Workload|Replay|Slo), which multiplexes
 # live executions and recovery retries over one shared fabric, and
 # the compiler passes' raw index arithmetic — the linear critical
@@ -30,9 +30,10 @@
 # the watchdog abort path at several thread counts (Watchdog), the
 # fault path that mutates capacities between batches (Faults), the
 # schedule search's budget-leased
-# sweep worker pool (Search, SimThreadLease), and the race verifier's
-# threaded per-rank driver across worker counts (Races,
-# Hierarchical), and the tuner's sweep on the same pool (Tuner). TSan
+# sweep worker pool (Search, SimThreadLease), the race verifier
+# (Races, Hierarchical; it runs on one thread and stays in the filter
+# so TSan still covers it), and the tuner's sweep on the same pool
+# (Tuner). TSan
 # runs export
 # MSCCLANG_SIM_THREADS_UNCAPPED=1 so the worker pools spin real
 # threads — and real interleavings — even on a small CI host where
