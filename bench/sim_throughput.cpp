@@ -686,10 +686,11 @@ main(int argc, char **argv)
                     "(one profiled pass, us)\n");
         for (const ScalingCell &c : cells) {
             std::printf(
-                "ranks=%-3d threads=%-2d eventq %.1f flownet %.1f "
-                "flowcb %.1f (flow batches %llu)\n",
+                "ranks=%-3d threads=%-2d eventq %.1f serialcb %.1f "
+                "flownet %.1f flowcb %.1f (flow batches %llu)\n",
                 c.ranks, c.threads,
                 static_cast<double>(c.prof.eventQueueNs) / 1000.0,
+                static_cast<double>(c.prof.serialCallbacksNs) / 1000.0,
                 static_cast<double>(c.prof.flowNetworkNs) / 1000.0,
                 static_cast<double>(c.prof.flowCallbacksNs) / 1000.0,
                 static_cast<unsigned long long>(c.prof.flowBatches));
@@ -771,10 +772,13 @@ main(int argc, char **argv)
                 std::fprintf(
                     f,
                     ", \"profile\": {\"event_queue_us\": %.1f, "
+                    "\"serial_callbacks_us\": %.1f, "
                     "\"flow_network_us\": %.1f, "
                     "\"flow_callbacks_us\": %.1f, "
                     "\"flow_batches\": %llu}",
                     static_cast<double>(c.prof.eventQueueNs) / 1000.0,
+                    static_cast<double>(c.prof.serialCallbacksNs) /
+                        1000.0,
                     static_cast<double>(c.prof.flowNetworkNs) / 1000.0,
                     static_cast<double>(c.prof.flowCallbacksNs) /
                         1000.0,

@@ -28,6 +28,39 @@ EventQueue::allocSlot()
     return index;
 }
 
+EventQueue::Bucket &
+EventQueue::bucketFor(TimeNs when)
+{
+    auto [it, inserted] = bucketAt_.try_emplace(when, 0u);
+    if (!inserted)
+        return buckets_[it->second];
+    std::uint32_t index;
+    if (!freeBuckets_.empty()) {
+        index = freeBuckets_.back();
+        freeBuckets_.pop_back();
+    } else {
+        index = static_cast<std::uint32_t>(buckets_.size());
+        buckets_.emplace_back();
+    }
+    it->second = index;
+    times_.push_back(PendingTime{ when, index });
+    std::push_heap(times_.begin(), times_.end(), std::greater<>{});
+    return buckets_[index];
+}
+
+void
+EventQueue::retireFrontBucket()
+{
+    PendingTime front = times_.front();
+    std::pop_heap(times_.begin(), times_.end(), std::greater<>{});
+    times_.pop_back();
+    bucketAt_.erase(front.when);
+    Bucket &bucket = buckets_[front.bucket];
+    bucket.items.clear(); // keeps capacity for the next instant
+    bucket.head = 0;
+    freeBuckets_.push_back(front.bucket);
+}
+
 EventId
 EventQueue::schedule(TimeNs when, Callback cb)
 {
@@ -40,8 +73,8 @@ EventQueue::schedule(TimeNs when, Callback cb)
     slot.live = true;
     slot.shard = -1;
 
-    heap_.push_back(Entry{ when, nextSeq_++, index, slot.gen });
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    bucketFor(when).items.push_back(Item{ nextSeq_++, index, slot.gen });
+    serialItems_++;
     liveEvents_++;
     // EventId 0 is reserved as "none": slot is offset by one.
     return (static_cast<EventId>(slot.gen) << 32) |
@@ -112,9 +145,8 @@ EventQueue::cancel(EventId id)
             deadInShardHeap_ * 2 > shardHeap_.size())
             compactShard();
     } else {
-        deadInHeap_++;
-        if (deadInHeap_ > kCompactFloor &&
-            deadInHeap_ * 2 > heap_.size())
+        deadSerial_++;
+        if (deadSerial_ > kCompactFloor && deadSerial_ * 2 > serialItems_)
             compactSerial();
     }
 }
@@ -122,13 +154,30 @@ EventQueue::cancel(EventId id)
 void
 EventQueue::compactSerial()
 {
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [this](const Entry &entry) {
-                                   return dead(entry);
-                               }),
-                heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    deadInHeap_ = 0;
+    // Drop every tombstone and every bucket left empty; the consumed
+    // prefix of a bucket that is draining goes too.
+    std::size_t kept = 0;
+    serialItems_ = 0;
+    for (const PendingTime &pending : times_) {
+        Bucket &bucket = buckets_[pending.bucket];
+        std::size_t out = 0;
+        for (std::size_t i = bucket.head; i < bucket.items.size(); i++) {
+            if (!dead(bucket.items[i]))
+                bucket.items[out++] = bucket.items[i];
+        }
+        bucket.items.resize(out);
+        bucket.head = 0;
+        serialItems_ += out;
+        if (out > 0) {
+            times_[kept++] = pending;
+        } else {
+            bucketAt_.erase(pending.when);
+            freeBuckets_.push_back(pending.bucket);
+        }
+    }
+    times_.resize(kept);
+    std::make_heap(times_.begin(), times_.end(), std::greater<>{});
+    deadSerial_ = 0;
 }
 
 void
@@ -148,10 +197,17 @@ EventQueue::compactShard()
 void
 EventQueue::purgeTops()
 {
-    while (!heap_.empty() && dead(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
-        deadInHeap_--;
+    while (!times_.empty()) {
+        Bucket &bucket = buckets_[times_.front().bucket];
+        while (bucket.head < bucket.items.size() &&
+               dead(bucket.items[bucket.head])) {
+            bucket.head++;
+            serialItems_--;
+            deadSerial_--;
+        }
+        if (bucket.head < bucket.items.size())
+            break;
+        retireFrontBucket();
     }
     while (!shardHeap_.empty() && dead(shardHeap_.front())) {
         std::pop_heap(shardHeap_.begin(), shardHeap_.end(),
@@ -165,36 +221,45 @@ bool
 EventQueue::runOne()
 {
     purgeTops();
-    if (heap_.empty() && shardHeap_.empty())
+    if (times_.empty() && shardHeap_.empty())
         return false;
 
-    // Serial vs shard tie-break is the global schedule order (seq),
-    // preserving the pre-sharding FIFO semantics for same-time
-    // events scheduled earlier than the shard batch.
+    // Serial vs shard tie-break is the global schedule order (seq) of
+    // the two fronts, preserving the pre-sharding FIFO semantics for
+    // same-time events scheduled earlier than the shard heap's front
+    // entry (the lowest shard id at that time).
     bool serial;
     if (shardHeap_.empty()) {
         serial = true;
-    } else if (heap_.empty()) {
+    } else if (times_.empty()) {
         serial = false;
     } else {
-        const Entry &s = heap_.front();
+        const PendingTime &s = times_.front();
+        const Bucket &b = buckets_[s.bucket];
         const ShardEntry &h = shardHeap_.front();
-        serial = s.when != h.when ? s.when < h.when : s.seq < h.seq;
+        serial = s.when != h.when ? s.when < h.when
+                                  : b.items[b.head].seq < h.seq;
     }
 
     if (serial) {
         SimProfileTimer timer(profile_ ? &profile_->eventQueueNs
                                        : nullptr);
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        Entry entry = heap_.back();
-        heap_.pop_back();
-        Callback cb = std::move(slots_[entry.slot].cb);
-        releaseSlot(entry.slot);
-        now_ = entry.when;
+        TimeNs when = times_.front().when;
+        Bucket &bucket = buckets_[times_.front().bucket];
+        Item item = bucket.items[bucket.head++];
+        serialItems_--;
+        if (bucket.head == bucket.items.size())
+            retireFrontBucket();
+        Callback cb = std::move(slots_[item.slot].cb);
+        releaseSlot(item.slot);
+        now_ = when;
         liveEvents_--;
         executed_++;
         if (profile_)
             profile_->serialEvents++;
+        // The callback is the interpreter's (and the flow network's
+        // startFlow) work, not the queue's: book it separately.
+        timer.handOff(profile_ ? &profile_->serialCallbacksNs : nullptr);
         cb();
         return true;
     }

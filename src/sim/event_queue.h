@@ -5,14 +5,25 @@
  * interpreter and the flow-level network model. Time is in integer
  * nanoseconds for determinism.
  *
- * Storage layout (hot path): the binary heap holds 24-byte POD
- * entries ordered by (time, schedule sequence) — the sequence keeps
- * same-time events FIFO — while callbacks live in a pooled slot
- * arena addressed by the entries. Cancellation is O(1) via slot
- * generations: cancelling bumps the slot's generation, releases the
- * callback's storage immediately, and returns the slot to the free
- * list; the stale heap entry is discarded lazily when popped (or by
- * compaction when tombstones dominate the heap). Live storage is
+ * Storage layout (hot path): serial events are grouped by time. Each
+ * distinct pending timestamp owns one FIFO bucket of 16-byte POD
+ * items {schedule sequence, slot, generation}; a small min-heap holds
+ * the distinct pending times, each carrying its bucket index, and a
+ * hash map from time to bucket is consulted only when scheduling.
+ * Sequence numbers grow with every schedule, so appending keeps each
+ * bucket in (time, sequence) order — including events scheduled at
+ * now() while now()'s bucket drains — and the execution order is
+ * exactly that of one heap over (time, sequence). The interpreter
+ * fires whole ranks' worth of events at one instant, so a pop is
+ * usually a bucket-head advance rather than a heap sift. Emptied
+ * buckets return to a free list and keep their capacity, so a steady
+ * state allocates at most one hash-map node per new timestamp.
+ * Callbacks live in a pooled slot arena
+ * addressed by the items. Cancellation is O(1) via slot generations:
+ * cancelling bumps the slot's generation, releases the callback's
+ * storage immediately, and returns the slot to the free list; the
+ * stale item is skipped lazily when it reaches its bucket's head (or
+ * dropped by compaction when tombstones dominate). Live storage is
  * therefore bounded by the peak number of concurrently pending
  * events, no matter how many schedule/cancel cycles a long run does.
  * A slot whose generation counter would wrap is retired with an
@@ -31,8 +42,9 @@
  * construction (any cross-shard influence needs an ordinary serial
  * event, and none can exist between equal timestamps). Ordinary
  * events interleave with shard events by (time, sequence) against
- * the front of the shard heap, so a serial event scheduled before a
- * same-time shard batch still runs first.
+ * the front of the shard heap — the lowest shard id at that time,
+ * not the lowest sequence — so a serial event scheduled before that
+ * entry still runs first.
  */
 
 #ifndef MSCCLANG_SIM_EVENT_QUEUE_H_
@@ -40,6 +52,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 namespace mscclang {
@@ -134,30 +147,43 @@ class EventQueue
     std::size_t poolSlots() const { return slots_.size(); }
 
     /**
-     * Heap entries including cancellation tombstones (diagnostics).
-     * Compaction keeps this within a constant factor of the live
-     * event count.
+     * Queue entries including cancellation tombstones (diagnostics):
+     * serial bucket items plus distinct pending serial times plus
+     * shard-heap entries. Compaction keeps this within a constant
+     * factor of the live event count.
      */
     std::size_t heapEntries() const
     {
-        return heap_.size() + shardHeap_.size();
+        return serialItems_ + times_.size() + shardHeap_.size();
     }
 
   private:
-    /** POD heap entry; the callback lives in slots_[slot]. */
-    struct Entry
+    /** POD bucket item; the callback lives in slots_[slot]. */
+    struct Item
     {
-        TimeNs when;
-        std::uint64_t seq; // schedule order, FIFO tie-break
+        std::uint64_t seq; // schedule order, FIFO within the bucket
         std::uint32_t slot;
         std::uint32_t gen;
+    };
+
+    /** The serial events pending at one timestamp, in seq order. */
+    struct Bucket
+    {
+        std::vector<Item> items;
+        /** First unconsumed item; earlier ones have fired. */
+        std::size_t head = 0;
+    };
+
+    /** Time-heap entry: a distinct pending time and its bucket. */
+    struct PendingTime
+    {
+        TimeNs when;
+        std::uint32_t bucket;
 
         bool
-        operator>(const Entry &other) const
+        operator>(const PendingTime &other) const
         {
-            if (when != other.when)
-                return when > other.when;
-            return seq > other.seq;
+            return when > other.when;
         }
     };
 
@@ -205,11 +231,17 @@ class EventQueue
     /** Frees a slot's callback storage and recycles the slot. */
     void releaseSlot(std::uint32_t index);
 
-    /** Drops dead entries when tombstones dominate a heap. */
+    /** Returns the bucket for @p when, opening one if none is pending. */
+    Bucket &bucketFor(TimeNs when);
+
+    /** Recycles the bucket at the front of the time heap. */
+    void retireFrontBucket();
+
+    /** Drops dead entries when tombstones dominate. */
     void compactSerial();
     void compactShard();
 
-    /** Discards dead entries at the top of each heap. */
+    /** Discards dead entries at the serial and shard fronts. */
     void purgeTops();
 
     TimeNs now_ = 0;
@@ -217,9 +249,13 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::uint64_t shardBatches_ = 0;
     std::size_t liveEvents_ = 0;
-    std::size_t deadInHeap_ = 0;
+    std::size_t serialItems_ = 0; // unconsumed items, tombstones too
+    std::size_t deadSerial_ = 0;
     std::size_t deadInShardHeap_ = 0;
-    std::vector<Entry> heap_;           // min-heap by (when, seq)
+    std::vector<Bucket> buckets_;
+    std::vector<std::uint32_t> freeBuckets_;
+    std::vector<PendingTime> times_;    // min-heap by when
+    std::unordered_map<TimeNs, std::uint32_t> bucketAt_;
     std::vector<ShardEntry> shardHeap_; // min-heap by (when, shard, seq)
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;

@@ -428,9 +428,7 @@ FlowNetwork::runShardBatch(const std::vector<int> &batch)
     // overlap the batch bookkeeping above. These callbacks carry the
     // whole interpreter forward, so their time is booked separately
     // (the serial Amdahl residue).
-    timer.stop();
-    SimProfileTimer cbTimer(profile_ ? &profile_->flowCallbacksNs
-                                     : nullptr);
+    timer.handOff(profile_ ? &profile_->flowCallbacksNs : nullptr);
     for (std::size_t i = 0; i < batchCallbacks_.size(); i++)
         batchCallbacks_[i]();
     batchCallbacks_.clear();
@@ -632,20 +630,18 @@ FlowNetwork::partitionShard(int shard)
     // Number groups by first appearance so the split is a
     // deterministic function of membership alone. (A root may have a
     // higher index than other members of its group, so the mapping is
-    // keyed on the root, not discovered in index order.)
-    std::vector<int> rootGroup(n, -1);
-    std::vector<std::vector<int>> members;
+    // keyed on the root, not discovered in index order.) The common
+    // one-component outcome touches only scratch that stays warm.
+    rootGroup_.assign(n, -1);
+    size_t groups = 0;
     for (size_t i = 0; i < n; i++) {
         int root = findRoot(ufParent_, static_cast<int>(i));
-        if (rootGroup[root] < 0) {
-            rootGroup[root] = static_cast<int>(members.size());
-            members.emplace_back();
-        }
-        members[rootGroup[root]].push_back(flows[i]);
+        if (rootGroup_[root] < 0)
+            rootGroup_[root] = static_cast<int>(groups++);
     }
 
     TimeNs now = events_.now();
-    if (members.size() == 1) {
+    if (groups == 1) {
         Shard &s = shards_[shard];
         s.flows.swap(flows);
         s.touched.swap(oldTouched);
@@ -654,15 +650,23 @@ FlowNetwork::partitionShard(int shard)
         return;
     }
 
+    if (members_.size() < groups)
+        members_.resize(groups);
+    for (size_t g = 0; g < groups; g++)
+        members_[g].clear();
+    for (size_t i = 0; i < n; i++)
+        members_[rootGroup_[findRoot(ufParent_, static_cast<int>(i))]]
+            .push_back(flows[i]);
+
     // Real split: the first group keeps this shard id; the rest get
     // fresh shards (allocation order is deterministic). Ownership is
     // rebuilt from the member flows' routes.
     for (ResourceId r : oldTouched)
         inTouched_[r] = 0;
-    for (size_t g = 0; g < members.size(); g++) {
+    for (size_t g = 0; g < groups; g++) {
         int sid = g == 0 ? shard : allocShard();
         Shard &s = shards_[sid]; // allocShard may move shards_
-        s.flows = std::move(members[g]);
+        s.flows.swap(members_[g]);
         s.lastSettled = now;
         s.membershipDirty = false;
         double earliest_ns = std::numeric_limits<double>::infinity();

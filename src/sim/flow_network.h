@@ -204,9 +204,6 @@ class FlowNetwork
     /** Max-min progressive filling over one shard's flows. */
     void recomputeShard(Shard &shard);
 
-    /** Schedules the shard's next completion from current rates. */
-    void scheduleCompletion(int shard, const std::vector<int> &flows);
-
     /** Applies one armed fault event (and schedules its recovery). */
     void activateFault(int index);
 
@@ -266,6 +263,8 @@ class FlowNetwork
     std::vector<int> resOwner_;
     std::uint32_t epoch_ = 0;
     std::vector<int> ufParent_;
+    std::vector<int> rootGroup_;
+    std::vector<std::vector<int>> members_;
     std::vector<int> mergeScratch_;
     std::vector<int> flowMergeScratch_;
     std::vector<std::function<void()>> batchCallbacks_;

@@ -22,8 +22,11 @@ namespace mscclang {
 /** Per-phase wall-clock accumulators, in host nanoseconds. */
 struct SimProfile
 {
-    /** Serial event dispatch + shard-batch extraction (EventQueue). */
+    /** Serial event dispatch + shard-batch extraction (EventQueue),
+     *  excluding the callbacks themselves. */
     std::int64_t eventQueueNs = 0;
+    /** Serial event callbacks (interpreter steps, flow starts). */
+    std::int64_t serialCallbacksNs = 0;
     /** Flow-network shard batches: parallel settle/recompute + merge. */
     std::int64_t flowNetworkNs = 0;
     /** Flow-completion callbacks (interpreter work). */
@@ -67,6 +70,23 @@ class SimProfileTimer
                      end - start_)
                      .count();
         acc_ = nullptr;
+    }
+
+    /**
+     * Books the time so far and keeps timing into @p next from the
+     * same clock read (one read instead of a stop and a new timer).
+     */
+    void
+    handOff(std::int64_t *next)
+    {
+        if (!acc_)
+            return;
+        auto now = std::chrono::steady_clock::now();
+        *acc_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     now - start_)
+                     .count();
+        acc_ = next;
+        start_ = now;
     }
 
     SimProfileTimer(const SimProfileTimer &) = delete;

@@ -6,10 +6,18 @@
  * completion timing), and the worker pool's lane cap.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,6 +146,286 @@ TEST(EventQueue, SchedulingIntoPastThrows)
     events.schedule(10, [] {});
     events.runOne();
     EXPECT_THROW(events.schedule(5, [] {}), RuntimeError);
+}
+
+/**
+ * Reference model of the queue's contract, written independently of
+ * its storage: serial events ordered by (when, seq), shard events by
+ * (when, shard, seq), where seq counts every schedule of either kind.
+ * The next step is the serial front if its (when, seq) precedes that
+ * of the shard front; otherwise it is every shard event at the shard
+ * front's time, in shard order.
+ */
+class QueueOracle
+{
+  public:
+    void
+    addSerial(TimeNs when, int id)
+    {
+        serial_.insert({ when, ++seq_, id });
+        where_[id] = { when, -1, seq_ };
+    }
+
+    void
+    addShard(TimeNs when, int shard, int id)
+    {
+        shard_.insert({ when, shard, ++seq_, id });
+        where_[id] = { when, shard, seq_ };
+    }
+
+    void
+    remove(int id)
+    {
+        auto it = where_.find(id);
+        if (it == where_.end())
+            return; // already popped by a divergent step
+        const Key key = it->second;
+        if (key.shard < 0)
+            serial_.erase({ key.when, key.seq, id });
+        else
+            shard_.erase({ key.when, key.shard, key.seq, id });
+        where_.erase(it);
+    }
+
+    bool empty() const { return where_.empty(); }
+
+    /** Pops the next step: "s<id>" or "b<when>:<shard>,<shard>,". */
+    std::string
+    popNext()
+    {
+        if (empty())
+            return "<empty>";
+        bool serial = shard_.empty() ||
+            (!serial_.empty() &&
+             std::make_pair(std::get<0>(*serial_.begin()),
+                            std::get<1>(*serial_.begin())) <
+                 std::make_pair(std::get<0>(*shard_.begin()),
+                                std::get<2>(*shard_.begin())));
+        if (serial) {
+            int id = std::get<2>(*serial_.begin());
+            remove(id);
+            return "s" + std::to_string(id);
+        }
+        TimeNs when = std::get<0>(*shard_.begin());
+        std::string step = "b" + std::to_string(when) + ":";
+        while (!shard_.empty() && std::get<0>(*shard_.begin()) == when) {
+            step += std::to_string(std::get<1>(*shard_.begin())) + ",";
+            remove(std::get<3>(*shard_.begin()));
+        }
+        return step;
+    }
+
+  private:
+    struct Key
+    {
+        TimeNs when;
+        int shard;
+        std::uint64_t seq;
+    };
+    std::set<std::tuple<TimeNs, std::uint64_t, int>> serial_;
+    std::set<std::tuple<TimeNs, int, std::uint64_t, int>> shard_;
+    std::map<int, Key> where_;
+    std::uint64_t seq_ = 0;
+};
+
+/**
+ * Drives one EventQueue and the oracle with the same seeded stream of
+ * schedules (serial and shard, at repeated times and at now()),
+ * cancels of pending events and cancels of stale ids, issued both
+ * before the run and from inside serial callbacks and shard batches.
+ * Each executed step is checked against the oracle's next step.
+ */
+class QueueDifferential
+{
+  public:
+    explicit QueueDifferential(unsigned seed) : rng_(seed)
+    {
+        events_.setShardBatchRunner(
+            [this](const std::vector<int> &batch) { onBatch(batch); });
+    }
+
+    /** Runs to completion; returns the index of the first divergent
+     *  step, or -1 when the queue matched the oracle throughout. */
+    long
+    run(int initialOps)
+    {
+        randomOps(initialOps);
+        events_.run();
+        while (!oracle_.empty())
+            want_.push_back(oracle_.popNext());
+        for (std::size_t i = 0; i < std::max(got_.size(), want_.size());
+             i++) {
+            if (i >= got_.size() || i >= want_.size() ||
+                got_[i] != want_[i])
+                return static_cast<long>(i);
+        }
+        return -1;
+    }
+
+    std::string
+    describe(long step) const
+    {
+        auto at = [step](const std::vector<std::string> &v) {
+            return step < static_cast<long>(v.size()) ? v[step]
+                                                      : "<none>";
+        };
+        return "step " + std::to_string(step) + ": queue ran " +
+            at(got_) + ", oracle expects " + at(want_);
+    }
+
+    std::size_t steps() const { return got_.size(); }
+    std::uint64_t batches() const { return events_.shardBatches(); }
+
+  private:
+    static constexpr int kShards = 6;
+
+    struct Pending
+    {
+        EventId id;
+        int shard; // -1 for serial events
+    };
+
+    TimeNs
+    pickTime()
+    {
+        // Few distinct offsets so times repeat; 0 schedules at now().
+        static const TimeNs kOffsets[] = { 0, 0, 1, 2, 3, 5, 5, 8, 40 };
+        return events_.now() + kOffsets[rng_() % 9];
+    }
+
+    void
+    scheduleSerial()
+    {
+        int id = nextId_++;
+        TimeNs when = pickTime();
+        EventId eid = events_.schedule(when, [this, id, when] {
+            onSerial(id, when);
+        });
+        oracle_.addSerial(when, id);
+        pending_[id] = { eid, -1 };
+    }
+
+    void
+    scheduleShard()
+    {
+        // At most one pending event per shard, as the flow network
+        // keeps it: a move is cancel + reschedule.
+        int shard = static_cast<int>(rng_() % kShards);
+        if (shardEvent_[shard] >= 0)
+            cancel(shardEvent_[shard]);
+        int id = nextId_++;
+        TimeNs when = pickTime();
+        oracle_.addShard(when, shard, id);
+        pending_[id] = { events_.scheduleShard(when, shard), shard };
+        shardEvent_[shard] = id;
+    }
+
+    void
+    cancel(int id)
+    {
+        events_.cancel(pending_.at(id).id);
+        retire(id);
+        oracle_.remove(id);
+    }
+
+    /** Forgets a fired or cancelled event; its id becomes stale. */
+    void
+    retire(int id)
+    {
+        const Pending &p = pending_.at(id);
+        stale_.push_back(p.id);
+        if (p.shard >= 0)
+            shardEvent_[p.shard] = -1;
+        pending_.erase(id);
+    }
+
+    void
+    randomOps(int count)
+    {
+        // After a divergence the two sides no longer agree on what is
+        // pending; stop feeding them and let run() report the step.
+        if (diverged_)
+            return;
+        for (int i = 0; i < count; i++) {
+            unsigned op = rng_() % 10;
+            if (budget_ > 0 && op < 5) {
+                budget_--;
+                scheduleSerial();
+            } else if (budget_ > 0 && op < 7) {
+                budget_--;
+                scheduleShard();
+            } else if (op < 9 && !pending_.empty()) {
+                auto it = pending_.begin();
+                std::advance(it, rng_() % pending_.size());
+                cancel(it->first);
+            } else if (!stale_.empty()) {
+                events_.cancel(stale_[rng_() % stale_.size()]);
+            }
+        }
+    }
+
+    void
+    record(const std::string &step)
+    {
+        got_.push_back(step);
+        want_.push_back(oracle_.popNext());
+        diverged_ = diverged_ || got_.back() != want_.back();
+    }
+
+    void
+    onSerial(int id, TimeNs when)
+    {
+        EXPECT_EQ(events_.now(), when);
+        record("s" + std::to_string(id));
+        if (pending_.count(id) != 0)
+            retire(id);
+        randomOps(static_cast<int>(rng_() % 6));
+    }
+
+    void
+    onBatch(const std::vector<int> &batch)
+    {
+        std::string step = "b" + std::to_string(events_.now()) + ":";
+        for (int shard : batch) {
+            step += std::to_string(shard) + ",";
+            if (shardEvent_[shard] >= 0)
+                retire(shardEvent_[shard]);
+        }
+        record(step);
+        randomOps(static_cast<int>(rng_() % 6));
+    }
+
+    std::mt19937 rng_;
+    EventQueue events_;
+    QueueOracle oracle_;
+    std::map<int, Pending> pending_;
+    std::vector<EventId> stale_;
+    int shardEvent_[kShards] = { -1, -1, -1, -1, -1, -1 };
+    int nextId_ = 0;
+    int budget_ = 4000; // schedules per run, so every run drains
+    std::vector<std::string> got_;
+    std::vector<std::string> want_;
+    bool diverged_ = false;
+};
+
+TEST(EventQueue, MatchesAnOrderedSetOracle)
+{
+    // Seeded differential test: same-time FIFO, schedules at now()
+    // while now()'s events drain, tombstone skipping and compaction,
+    // stale-id cancels, and the serial-vs-shard tie-break against the
+    // shard front (lowest shard id), not the lowest shard seq.
+    std::size_t steps = 0;
+    std::uint64_t batches = 0;
+    for (unsigned seed = 1; seed <= 24; seed++) {
+        QueueDifferential run(seed);
+        long diverged = run.run(300);
+        ASSERT_EQ(diverged, -1)
+            << "seed " << seed << ", " << run.describe(diverged);
+        steps += run.steps();
+        batches += run.batches();
+    }
+    EXPECT_GT(steps, 24u * 1000u);
+    EXPECT_GT(batches, 24u * 100u);
 }
 
 TEST(EventQueue, UsToNsRounds)

@@ -321,10 +321,12 @@ main(int argc, char **argv)
             std::printf(
                 "\nphase breakdown (wall clock, whole sweep):\n"
                 "  event queue     %10.1f us  (%llu serial events)\n"
+                "  serial callbacks%10.1f us\n"
                 "  flow network    %10.1f us  (%llu batches)\n"
                 "  flow callbacks  %10.1f us\n",
                 us(profile.eventQueueNs),
                 static_cast<unsigned long long>(profile.serialEvents),
+                us(profile.serialCallbacksNs),
                 us(profile.flowNetworkNs),
                 static_cast<unsigned long long>(profile.flowBatches),
                 us(profile.flowCallbacksNs));
